@@ -16,6 +16,20 @@
 //! (capability validation happens there — the secrets moved with the
 //! objects), and [`ElasticClient`] refreshes its map from the
 //! directory when a call hits a drained replica.
+//!
+//! Forwarding is visible on the wire. The old owner relays the request
+//! as a `RELAY_REQUEST` frame and the new owner answers with a
+//! `RELAYED_REPLY` (see `docs/PROTOCOL.md`). The client's
+//! `(port, machine)` route cache ignores relayed replies, so a warm
+//! client keeps targeting the old owner, which keeps relaying: one
+//! extra hop, never a timeout. [`ElasticClient`] goes further and
+//! leaves the forward after **one** relayed call: it re-reads that one
+//! shard's directory entry (the directory stays the authority, §3.4 —
+//! no reply can point a capability at a new port) and routes there.
+//! The work is bounded: if the entry still names the forwarding port
+//! because it has not been republished yet, the shard is marked and
+//! later relays on it skip the lookup until the next error-driven
+//! [`refresh`](ElasticClient::refresh) clears the mark.
 
 use crate::migrate::{migrate_shard, MigrateError, MigrationStats};
 use crate::range_capability;
@@ -29,10 +43,14 @@ use amoeba_server::{placement_range, ClientError, Service, ServiceClient, Servic
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 fn shard_entry_name(service: &str, shard: usize) -> String {
     format!("{service}.shard-{shard}")
+}
+
+fn shard_of(cap: &Capability) -> usize {
+    placement_range(cap.object, DEFAULT_SHARDS, DEFAULT_SHARDS)
 }
 
 /// A placement group of `n` replicas serving all [`DEFAULT_SHARDS`]
@@ -267,7 +285,9 @@ impl ElasticCluster {
 /// A client for an [`ElasticCluster`]: routes by the capability's
 /// shard, and re-reads the directory map when a call lands on a
 /// replica that no longer mints (drained) or the transport times out —
-/// so migrations behind its back cost one retry, never an error.
+/// so migrations behind its back cost one retry, never an error. A
+/// call the old owner relayed re-reads just that shard's entry, so the
+/// next call goes straight to the new owner.
 pub struct ElasticClient {
     svc: ServiceClient,
     dirs: DirClient,
@@ -275,6 +295,10 @@ pub struct ElasticClient {
     service: String,
     /// shard → owning port, refreshed from the directory on demand.
     ports: RwLock<Vec<Port>>,
+    /// Per shard: a relay-driven lookup is in flight or found the
+    /// entry not yet republished. Relays on a marked shard skip the
+    /// lookup; [`refresh`](Self::refresh) clears every mark.
+    relay_marks: Vec<AtomicBool>,
     /// Round-robin cursor for placements with no capability (CREATE).
     next_shard: AtomicUsize,
 }
@@ -307,6 +331,9 @@ impl ElasticClient {
             dir: *dir,
             service: service.to_string(),
             ports: RwLock::new(Vec::new()),
+            relay_marks: (0..DEFAULT_SHARDS)
+                .map(|_| AtomicBool::new(false))
+                .collect(),
             next_shard: AtomicUsize::new(0),
         };
         client.refresh()?;
@@ -327,13 +354,43 @@ impl ElasticClient {
             );
         }
         *self.ports.write() = fresh;
+        for mark in &self.relay_marks {
+            mark.store(false, Ordering::Release);
+        }
         Ok(())
     }
 
     /// The port currently mapped for `cap`'s shard.
     pub fn port_for(&self, cap: &Capability) -> Port {
-        let shard = placement_range(cap.object, DEFAULT_SHARDS, DEFAULT_SHARDS);
-        self.ports.read()[shard]
+        self.ports.read()[shard_of(cap)]
+    }
+
+    /// Re-reads shard `shard`'s directory entry after a call to
+    /// `stale` came back relayed, and routes the shard to the entry's
+    /// port when it moved. At most one lookup per relay episode: the
+    /// mark goes up before the lookup (concurrent relays on the shard
+    /// skip theirs) and comes down only when the entry named a new
+    /// port. A failed lookup leaves the shard marked too — the call
+    /// itself succeeded, and forwarding keeps serving it.
+    fn reroute(&self, shard: usize, stale: Port) {
+        if self.relay_marks[shard].swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if let Some(m) = self.svc.rpc().endpoint().obs().metrics() {
+            m.shard_refreshes.add(1);
+        }
+        let name = shard_entry_name(&self.service, shard);
+        let Ok(entry) = self.dirs.lookup(&self.dir, &name) else {
+            return;
+        };
+        if entry.port != stale {
+            let mut ports = self.ports.write();
+            if ports[shard] == stale {
+                ports[shard] = entry.port;
+            }
+            drop(ports);
+            self.relay_marks[shard].store(false, Ordering::Release);
+        }
     }
 
     fn should_refresh(err: &ClientError) -> bool {
@@ -345,7 +402,8 @@ impl ElasticClient {
 
     /// Invokes `command` on the object named by `cap`, routed to its
     /// shard's owner. A transport failure or a drained-replica refusal
-    /// triggers one map refresh and one retry.
+    /// triggers one map refresh and one retry; a reply relayed by the
+    /// shard's old owner triggers one lookup of that shard's entry.
     ///
     /// # Errors
     /// As for [`ServiceClient::call`], after the retry.
@@ -355,11 +413,15 @@ impl ElasticClient {
         command: u32,
         params: Bytes,
     ) -> Result<Bytes, ClientError> {
-        match self
-            .svc
-            .call_at(self.port_for(cap), cap, command, params.clone())
-        {
-            Ok(body) => Ok(body),
+        let shard = shard_of(cap);
+        let port = self.ports.read()[shard];
+        match self.svc.call_at_relayed(port, cap, command, params.clone()) {
+            Ok((body, relayed)) => {
+                if relayed {
+                    self.reroute(shard, port);
+                }
+                Ok(body)
+            }
             Err(e) if Self::should_refresh(&e) => {
                 self.refresh()?;
                 self.svc.call_at(self.port_for(cap), cap, command, params)
@@ -409,10 +471,6 @@ mod tests {
         ElasticCluster::spawn_open(net, replicas, 1, |_| {
             FlatFsServer::new(SchemeKind::Commutative)
         })
-    }
-
-    fn shard_of(cap: &Capability) -> usize {
-        placement_range(cap.object, DEFAULT_SHARDS, DEFAULT_SHARDS)
     }
 
     fn create_at(svc: &ServiceClient, port: Port) -> Capability {
@@ -502,6 +560,136 @@ mod tests {
         let last = WRITES - 1;
         assert_eq!(&read(&svc, &cap)[..], format!("v{last:04}").as_bytes());
         cluster.stop();
+    }
+
+    /// A directory, a published 2-replica cluster, and a warm elastic
+    /// client holding one written object per shard.
+    struct WarmRig {
+        dir_runner: ServiceRunner,
+        dirs: DirClient,
+        root: Capability,
+        cluster: ElasticCluster,
+        client: ElasticClient,
+        caps: Vec<Capability>,
+    }
+
+    fn warm_rig(net: &Network) -> WarmRig {
+        let dir_runner = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::OneWay));
+        let dirs = DirClient::open(net, dir_runner.put_port());
+        let root = dirs.create_dir().unwrap();
+        let cluster = elastic_fs(net, 2);
+        cluster.publish(&dirs, &root, "fs").unwrap();
+        let client = ElasticClient::from_directory(
+            net,
+            DirClient::open(net, dir_runner.put_port()),
+            &root,
+            "fs",
+        )
+        .unwrap();
+        let caps: Vec<Capability> = (0..DEFAULT_SHARDS)
+            .map(|_| {
+                let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
+                wire::Reader::new(&body).cap().unwrap()
+            })
+            .collect();
+        for cap in &caps {
+            let data = wire::Writer::new().u64(0).bytes(b"warm").finish();
+            client.call(cap, ops::WRITE, data).unwrap();
+        }
+        WarmRig {
+            dir_runner,
+            dirs,
+            root,
+            cluster,
+            client,
+            caps,
+        }
+    }
+
+    fn elastic_read(client: &ElasticClient, cap: &Capability) -> Bytes {
+        client
+            .call(cap, ops::READ, wire::Writer::new().u64(0).u32(32).finish())
+            .unwrap()
+    }
+
+    #[test]
+    fn warm_elastic_client_leaves_the_forward_after_one_relayed_call() {
+        let net = Network::new();
+        net.obs().enable();
+        let WarmRig {
+            dir_runner,
+            dirs,
+            root,
+            cluster,
+            client,
+            caps,
+        } = warm_rig(&net);
+        // Move two of replica 0's shards, then republish their entries.
+        let moved: Vec<usize> = (0..DEFAULT_SHARDS)
+            .filter(|&s| cluster.owners()[s] == 0)
+            .take(2)
+            .collect();
+        let rpc = Client::new(net.attach_open());
+        for &shard in &moved {
+            cluster.migrate(&rpc, shard, 1).unwrap();
+            cluster.republish(&dirs, &root, "fs", shard).unwrap();
+        }
+
+        let m = net.obs().metrics().unwrap();
+        let before = m.snapshot();
+        for i in 0..100 {
+            assert_eq!(&elastic_read(&client, &caps[i % caps.len()])[..], b"warm");
+        }
+        let after = m.snapshot();
+        assert_eq!(after.retransmits - before.retransmits, 0);
+        assert_eq!(after.trans_timeouts - before.trans_timeouts, 0);
+        assert_eq!(after.route_evictions - before.route_evictions, 0);
+        // One relayed call and one lookup per moved shard, no more.
+        let lookups = after.shard_refreshes - before.shard_refreshes;
+        let forwarded = after.requests_forwarded - before.requests_forwarded;
+        assert_eq!(lookups, moved.len() as u64);
+        assert_eq!(forwarded, moved.len() as u64);
+        assert_eq!(after.relayed_replies - before.relayed_replies, forwarded);
+        for cap in caps.iter().filter(|c| moved.contains(&shard_of(c))) {
+            assert_eq!(client.port_for(cap), cluster.replica_port(1));
+        }
+        cluster.stop();
+        dir_runner.stop();
+    }
+
+    #[test]
+    fn unpublished_move_costs_one_lookup_until_the_next_refresh() {
+        let net = Network::new();
+        net.obs().enable();
+        let WarmRig {
+            dir_runner,
+            cluster,
+            client,
+            caps,
+            ..
+        } = warm_rig(&net);
+        let shard = shard_of(&caps[0]);
+        let from = cluster.owners()[shard];
+        let rpc = Client::new(net.attach_open());
+        cluster.migrate(&rpc, shard, 1 - from).unwrap();
+        // No republish: the entry still names the forwarding port, so
+        // every call rides the relay — at one lookup in total.
+        let m = net.obs().metrics().unwrap();
+        let before = m.snapshot();
+        for _ in 0..20 {
+            assert_eq!(&elastic_read(&client, &caps[0])[..], b"warm");
+        }
+        let after = m.snapshot();
+        assert_eq!(after.requests_forwarded - before.requests_forwarded, 20);
+        assert_eq!(after.shard_refreshes - before.shard_refreshes, 1);
+        assert_eq!(after.retransmits - before.retransmits, 0);
+        assert_eq!(client.port_for(&caps[0]), cluster.replica_port(from));
+        // A full refresh clears the mark: the next relay looks again.
+        client.refresh().unwrap();
+        elastic_read(&client, &caps[0]);
+        assert_eq!(m.snapshot().shard_refreshes - after.shard_refreshes, 1);
+        cluster.stop();
+        dir_runner.stop();
     }
 
     #[test]

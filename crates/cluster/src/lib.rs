@@ -42,7 +42,8 @@
 //! the TRANSFER frames, then flips ownership with the old owner
 //! forwarding stale traffic), and a load-driven [`Rebalancer`] decides
 //! which shards should move. [`ElasticClient`] refreshes its shard map
-//! from the directory when a call hits a drained replica.
+//! from the directory when a call hits a drained replica, and re-reads
+//! one shard's entry when the old owner relayed a call.
 //!
 //! The discovery machinery lives in `amoeba-rpc` (`Locator` replica
 //! sets, `Matchmaker` registration, the cluster wire frames of

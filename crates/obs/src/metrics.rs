@@ -213,6 +213,17 @@ pub struct Metrics {
     pub server_requests: Counter,
     /// Service handler invocations completed.
     pub handlers_completed: Counter,
+    /// Requests a server relayed to a shard's new owner (server side).
+    pub requests_forwarded: Counter,
+    /// Relayed replies a client received — replies the route cache
+    /// ignored because their sender does not serve the addressed port.
+    pub relayed_replies: Counter,
+    /// Route-cache hinted attempts that timed out and evicted their
+    /// route (client side).
+    pub route_evictions: Counter,
+    /// Single-shard directory re-reads by elastic cluster clients after
+    /// a relayed call.
+    pub shard_refreshes: Counter,
     /// End-to-end transaction latency (start → completion wake), in
     /// nanoseconds of timeline time.
     pub trans_latency_ns: Histogram,
@@ -239,6 +250,10 @@ impl Metrics {
             faults_partition_dropped: self.faults_partition_dropped.get(),
             server_requests: self.server_requests.get(),
             handlers_completed: self.handlers_completed.get(),
+            requests_forwarded: self.requests_forwarded.get(),
+            relayed_replies: self.relayed_replies.get(),
+            route_evictions: self.route_evictions.get(),
+            shard_refreshes: self.shard_refreshes.get(),
             latency_count: self.trans_latency_ns.count(),
             latency_sum_ns: self.trans_latency_ns.sum(),
             latency_min_ns: self.trans_latency_ns.min().unwrap_or(0),
@@ -272,6 +287,10 @@ pub struct MetricsSnapshot {
     pub faults_partition_dropped: u64,
     pub server_requests: u64,
     pub handlers_completed: u64,
+    pub requests_forwarded: u64,
+    pub relayed_replies: u64,
+    pub route_evictions: u64,
+    pub shard_refreshes: u64,
     pub latency_count: u64,
     pub latency_sum_ns: u64,
     pub latency_min_ns: u64,
@@ -285,7 +304,7 @@ impl MetricsSnapshot {
     /// Formats the snapshot as a flat JSON object (cold path; this is
     /// the one place in the crate that allocates).
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 24] = [
+        let fields: [(&str, u64); 28] = [
             ("trans_started", self.trans_started),
             ("trans_completed", self.trans_completed),
             ("trans_timeouts", self.trans_timeouts),
@@ -303,6 +322,10 @@ impl MetricsSnapshot {
             ("faults_partition_dropped", self.faults_partition_dropped),
             ("server_requests", self.server_requests),
             ("handlers_completed", self.handlers_completed),
+            ("requests_forwarded", self.requests_forwarded),
+            ("relayed_replies", self.relayed_replies),
+            ("route_evictions", self.route_evictions),
+            ("shard_refreshes", self.shard_refreshes),
             ("latency_count", self.latency_count),
             ("latency_sum_ns", self.latency_sum_ns),
             ("latency_min_ns", self.latency_min_ns),

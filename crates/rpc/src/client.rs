@@ -233,6 +233,16 @@ impl std::error::Error for RpcError {}
 /// Per-entry result of a batch transaction.
 pub type BatchResult = Result<Bytes, RpcError>;
 
+/// The `accept` closure of every single-body transaction: the body of
+/// a REPLY frame (a relayed reply arrives here already folded into
+/// one, see [`Frame::unrelay`]).
+fn reply_body(frame: Frame) -> Option<Bytes> {
+    match frame {
+        Frame::Reply(body) => Some(body),
+        _ => None,
+    }
+}
+
 type WaiterTx = Sender<BatchResult>;
 
 /// A queued-but-unflushed pipeline call for one destination.
@@ -500,6 +510,20 @@ impl Client {
         }
     }
 
+    /// [`trans`](Self::trans) that also reports whether the reply was
+    /// **relayed**: answered by a machine the request was forwarded to
+    /// because the addressed server no longer owns the object's shard.
+    /// A caller holding a shard map uses the flag to re-route; the
+    /// route cache already ignored the relayed reply. Always a
+    /// single-frame transaction (never shares a pipeline frame).
+    ///
+    /// # Errors
+    /// As for [`trans`](Self::trans).
+    pub fn trans_relayed(&self, dest: Port, request: Bytes) -> Result<(Bytes, bool), RpcError> {
+        let payload = self.encode_request_frame(request);
+        self.start(dest, None, payload, reply_body).wait_relayed()
+    }
+
     /// Performs a blocking transaction addressed to one specific
     /// machine: the frame is delivered only to `machine` (if it claims
     /// `dest`), not to every claimer of the port.
@@ -521,10 +545,7 @@ impl Client {
         request: Bytes,
     ) -> Result<Bytes, RpcError> {
         let payload = self.encode_request_frame(request);
-        self.transact(dest, Some(machine), payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.transact(dest, Some(machine), payload, reply_body)
     }
 
     /// Performs a blocking shard-transfer transaction: send `op` to
@@ -560,10 +581,7 @@ impl Client {
             frame::encode_transfer_into(&mut buf, op);
             buf.freeze()
         };
-        self.start(dest, machine, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.start(dest, machine, payload, reply_body)
     }
 
     /// Encodes a REQUEST frame into a pooled buffer and retires the
@@ -622,11 +640,7 @@ impl Client {
 
     /// The plain single-frame transaction path.
     fn trans_single(&self, dest: Port, request: Bytes) -> Result<Bytes, RpcError> {
-        let payload = self.encode_request_frame(request);
-        self.transact(dest, None, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.trans_relayed(dest, request).map(|(body, _)| body)
     }
 
     /// One wire frame's worth of a batch transaction.
@@ -793,10 +807,7 @@ impl Client {
     /// released; a late reply is dropped as stale noise).
     pub fn trans_async(&self, dest: Port, request: Bytes) -> Completion<'_, Bytes> {
         let payload = self.encode_request_frame(request);
-        self.start(dest, None, payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.start(dest, None, payload, reply_body)
     }
 
     /// The machine-targeted variant of [`trans_async`](Self::trans_async).
@@ -807,10 +818,7 @@ impl Client {
         request: Bytes,
     ) -> Completion<'_, Bytes> {
         let payload = self.encode_request_frame(request);
-        self.start(dest, Some(machine), payload, |frame| match frame {
-            Frame::Reply(body) => Some(body),
-            _ => None,
-        })
+        self.start(dest, Some(machine), payload, reply_body)
     }
 
     /// The shared request/await/retransmit engine behind every
@@ -940,6 +948,7 @@ impl Client {
             transmits: 0,
             completed: false,
             hinted,
+            relayed: false,
             trace,
             started_at,
         };
@@ -1022,6 +1031,9 @@ pub struct Completion<'c, T> {
     /// rather than the caller. A hinted attempt that times out evicts
     /// the cache entry and falls back to associative addressing.
     hinted: bool,
+    /// Whether the accepted reply was a `RELAYED_REPLY` (the addressed
+    /// server forwarded the request to a shard's new owner).
+    relayed: bool,
     /// Flight-recorder span id (0 when the recorder was disabled at
     /// start — events are suppressed for the whole span then, so a
     /// mid-flight enable never produces a headless trace).
@@ -1110,13 +1122,14 @@ impl<T> Completion<'_, T> {
 
     /// Decodes a packet against this transaction; foreign packets are
     /// routed to their owner and yield `None`.
-    fn check_packet(&self, pkt: Packet) -> Option<T> {
+    fn check_packet(&mut self, pkt: Packet) -> Option<T> {
         if pkt.header.dest != self.reply_wire {
             self.client.route_foreign(pkt);
             return None;
         }
         let source = pkt.source;
-        let value = Frame::decode(&pkt.payload).and_then(&*self.accept)?;
+        let (frame, relayed) = Frame::decode(&pkt.payload)?.unrelay();
+        let value = (self.accept)(frame)?;
         if self.trace != 0 {
             self.client.endpoint.obs().record(
                 EventKind::ReplyDemux,
@@ -1126,10 +1139,21 @@ impl<T> Completion<'_, T> {
                 u64::from(source.as_u32()),
             );
         }
-        // Feed the route cache: this machine answers for `dest`, so the
-        // next transaction to it can be machine-targeted (and thereby
-        // recycle its reply port).
-        self.client.note_route(self.header.dest, source);
+        if relayed {
+            // The addressed server forwarded the request: `source` is
+            // the shard's new owner, which does not serve `dest`.
+            // Learning it would target the next call at a machine that
+            // drops it, so the cache keeps whatever route it had.
+            self.relayed = true;
+            if let Some(m) = self.client.endpoint.obs().metrics() {
+                m.relayed_replies.add(1);
+            }
+        } else {
+            // Feed the route cache: this machine answers for `dest`, so
+            // the next transaction to it can be machine-targeted (and
+            // thereby recycle its reply port).
+            self.client.note_route(self.header.dest, source);
+        }
         Some(value)
     }
 
@@ -1185,6 +1209,9 @@ impl<T> Completion<'_, T> {
                             .evict_if(self.header.dest.value(), u64::from(stale.as_u32()) + 1);
                     }
                     self.hinted = false;
+                    if let Some(m) = self.client.endpoint.obs().metrics() {
+                        m.route_evictions.add(1);
+                    }
                 }
                 if self.attempts_left == 0 {
                     if let Some(m) = self.client.endpoint.obs().metrics() {
@@ -1209,12 +1236,22 @@ impl<T> Completion<'_, T> {
     /// # Errors
     /// [`RpcError::Timeout`] after all attempts,
     /// [`RpcError::Disconnected`] if the endpoint is detached.
-    pub fn wait(mut self) -> Result<T, RpcError> {
+    pub fn wait(self) -> Result<T, RpcError> {
+        self.wait_relayed().map(|(value, _)| value)
+    }
+
+    /// [`wait`](Self::wait) that also reports whether the accepted
+    /// reply was relayed by a forwarding server (see
+    /// [`Client::trans_relayed`]).
+    ///
+    /// # Errors
+    /// As for [`wait`](Self::wait).
+    pub fn wait_relayed(mut self) -> Result<(T, bool), RpcError> {
         let client = self.client;
         let endpoint = &client.endpoint;
         loop {
             if let Some(result) = self.poll() {
-                return result;
+                return result.map(|value| (value, self.relayed));
             }
             if endpoint.reactor().is_virtual() {
                 // Reactor-parked: wake on any mailbox deposit or
@@ -1238,7 +1275,7 @@ impl<T> Completion<'_, T> {
                         if let Some(value) = self.check_packet(pkt) {
                             self.completed = true;
                             self.note_completed();
-                            return Ok(value);
+                            return Ok((value, self.relayed));
                         }
                     }
                     Err(RecvError::Timeout) => {} // tick: poll() re-checks
@@ -1551,6 +1588,59 @@ mod tests {
         // Broadcast and legacy-codec notes are dropped, not cached.
         client.note_route(Port::BROADCAST, machine);
         assert!(client.cached_route(Port::BROADCAST).is_none());
+    }
+
+    #[test]
+    fn relayed_reply_never_teaches_the_route_cache() {
+        // The old owner relays every request to the new owner, which
+        // answers the client directly. The route cache must keep
+        // naming the machine the client addressed (or nothing, for an
+        // untargeted call): learning the new owner would target the
+        // next call at a machine that does not serve the old port.
+        let net = Network::new();
+        let old = crate::ServerPort::bind(net.attach_open(), Port::new(0xD4).unwrap());
+        let new = crate::ServerPort::bind(net.attach_open(), Port::new(0xD5).unwrap());
+        let (p_old, p_new) = (old.put_port(), new.put_port());
+        let (old_machine, new_machine) = (old.endpoint().id(), new.endpoint().id());
+        let relay = std::thread::spawn(move || {
+            while let Ok(req) = old.next_request_timeout(Duration::from_millis(300)) {
+                assert!(old.forward(&req, p_new));
+            }
+        });
+        let serve = std::thread::spawn(move || {
+            while let Ok(req) = new.next_request_timeout(Duration::from_millis(300)) {
+                new.reply(&req, Bytes::from_static(b"new-owner"));
+            }
+        });
+        let config = RpcConfig {
+            timeout: Duration::from_secs(2),
+            attempts: 2,
+        };
+
+        // A warm client: its route to the old owner predates the move.
+        let warm = Client::with_config(net.attach_open(), config);
+        warm.note_route(p_old, old_machine);
+        for _ in 0..3 {
+            let (body, relayed) = warm.trans_relayed(p_old, Bytes::from_static(b"x")).unwrap();
+            assert_eq!((&body[..], relayed), (&b"new-owner"[..], true));
+            assert_eq!(warm.cached_route(p_old), Some(old_machine));
+        }
+        // One targeted frame reached one machine and was relayed once:
+        // still at most one reply, so the reply port recycles.
+        assert_eq!(warm.parked_reply_ports(), 1);
+
+        // A cold client's untargeted call learns nothing from a relay.
+        let cold = Client::with_config(net.attach_open(), config);
+        let (_, relayed) = cold.trans_relayed(p_old, Bytes::from_static(b"y")).unwrap();
+        assert!(relayed);
+        assert_eq!(cold.cached_route(p_old), None);
+
+        // A direct reply still feeds the cache, unflagged.
+        let (_, relayed) = cold.trans_relayed(p_new, Bytes::from_static(b"z")).unwrap();
+        assert!(!relayed);
+        assert_eq!(cold.cached_route(p_new), Some(new_machine));
+        relay.join().unwrap();
+        serve.join().unwrap();
     }
 
     #[test]

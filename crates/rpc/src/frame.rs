@@ -36,6 +36,16 @@
 //!   idempotent on the receiving side to make retransmission safe. Each
 //!   carries an explicit version byte ([`TRANSFER_VERSION`]) after the
 //!   tag.
+//! * **Relay frames** (tags `0x0E`–`0x0F`, added in relay-format
+//!   version 1): a server forwarding a request for a shard it no
+//!   longer owns re-sends it as `RELAY_REQUEST`, and the new owner
+//!   answers with `RELAYED_REPLY`. They carry the same opaque bodies as
+//!   `REQUEST`/`REPLY`; the tag is the marker that tells the client its
+//!   reply came from a machine other than the one it addressed, so the
+//!   `(port, machine)` route cache must not learn from it. Each carries
+//!   an explicit version byte ([`RELAY_VERSION`]) and a body length
+//!   after the tag. [`Frame::unrelay`] folds them back into plain
+//!   requests and replies plus a `relayed` flag.
 //!
 //! # Versioning policy
 //!
@@ -104,6 +114,12 @@ pub enum FrameKind {
     /// Closes a transfer: "install the staged records and take
     /// ownership of the shard" (transfer-format v1).
     TransferCommit = 13,
+    /// A client request relayed by a server that no longer owns its
+    /// shard (relay-format v1).
+    RelayRequest = 14,
+    /// The reply to a [`FrameKind::RelayRequest`], sent straight to the
+    /// original client (relay-format v1).
+    RelayedReply = 15,
 }
 
 impl FrameKind {
@@ -123,6 +139,8 @@ impl FrameKind {
             11 => Some(FrameKind::TransferBegin),
             12 => Some(FrameKind::TransferChunk),
             13 => Some(FrameKind::TransferCommit),
+            14 => Some(FrameKind::RelayRequest),
+            15 => Some(FrameKind::RelayedReply),
             _ => None,
         }
     }
@@ -152,6 +170,11 @@ pub const MAX_LOCATE_REPLICAS: usize = 32;
 /// (tags `0x0B`–`0x0D`). Same policy as [`BATCH_VERSION`]: bumped on
 /// any incompatible layout change; decoders drop unknown versions.
 pub const TRANSFER_VERSION: u8 = 1;
+
+/// The relay-frame format version this implementation speaks (tags
+/// `0x0E`–`0x0F`). Same policy as [`BATCH_VERSION`]: bumped on any
+/// incompatible layout change; decoders drop unknown versions.
+pub const RELAY_VERSION: u8 = 1;
 
 /// One shard-migration operation, as carried by the transfer frames
 /// (tags `0x0B`–`0x0D`). The `xfer` id is chosen by the migration
@@ -290,6 +313,12 @@ pub enum Frame {
     /// A shard-migration operation (tags `0x0B`–`0x0D`), answered with
     /// an ordinary [`Frame::Reply`].
     Transfer(TransferOp),
+    /// A request body relayed by a forwarding server; served like
+    /// [`Frame::Request`] and answered with [`Frame::RelayedReply`].
+    RelayRequest(Bytes),
+    /// The reply body for a [`Frame::RelayRequest`]: an ordinary reply
+    /// that the route cache must not learn from.
+    RelayedReply(Bytes),
 }
 
 impl Frame {
@@ -377,6 +406,8 @@ impl Frame {
                 }
             }
             Frame::Transfer(op) => encode_transfer_into(buf, op),
+            Frame::RelayRequest(body) => encode_relay_into(buf, FrameKind::RelayRequest, body),
+            Frame::RelayedReply(body) => encode_relay_into(buf, FrameKind::RelayedReply, body),
         }
     }
 
@@ -495,8 +526,51 @@ impl Frame {
                 let chunks = u32::from_be_bytes(rest.get(8..12)?.try_into().ok()?);
                 (rest.len() == 12).then_some(Frame::Transfer(TransferOp::Commit { xfer, chunks }))
             }
+            FrameKind::RelayRequest => decode_relay_body(data, rest).map(Frame::RelayRequest),
+            FrameKind::RelayedReply => decode_relay_body(data, rest).map(Frame::RelayedReply),
         }
     }
+
+    /// Folds a relay frame into its plain counterpart —
+    /// [`Frame::RelayRequest`] into [`Frame::Request`],
+    /// [`Frame::RelayedReply`] into [`Frame::Reply`] — and reports
+    /// whether it was one. Every other frame passes through with
+    /// `false`, so code that matches on plain requests and replies
+    /// serves relayed traffic unchanged.
+    pub fn unrelay(self) -> (Frame, bool) {
+        match self {
+            Frame::RelayRequest(body) => (Frame::Request(body), true),
+            Frame::RelayedReply(body) => (Frame::Reply(body), true),
+            other => (other, false),
+        }
+    }
+}
+
+/// Parses `version ‖ length ‖ body` from the bytes after a relay tag;
+/// the body is a zero-copy slice of `data`. Unknown versions,
+/// truncated bodies and trailing bytes are all rejected.
+fn decode_relay_body(data: &Bytes, rest: &[u8]) -> Option<Bytes> {
+    if *rest.first()? != RELAY_VERSION {
+        return None; // unknown relay format version
+    }
+    let len = u32::from_be_bytes(rest.get(1..5)?.try_into().ok()?) as usize;
+    if rest.len() != 5usize.checked_add(len)? {
+        return None; // truncated body or trailing bytes
+    }
+    // `rest` starts 1 byte into `data` (the tag).
+    Some(data.slice(1 + 5..1 + 5 + len))
+}
+
+/// Appends a relay frame (`tag ‖ version ‖ length ‖ body`).
+///
+/// # Panics
+/// Panics if `body` is longer than `u32::MAX` — a programming error on
+/// the sending side, never reachable from received data.
+pub(crate) fn encode_relay_into(buf: &mut BytesMut, kind: FrameKind, body: &[u8]) {
+    buf.extend_from_slice(&[kind as u8, RELAY_VERSION]);
+    let len = u32::try_from(body.len()).expect("relayed body fits in u32");
+    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(body);
 }
 
 /// Checks the cluster-format version byte and returns the bytes after
@@ -1078,6 +1152,133 @@ mod tests {
             Frame::decode(&Bytes::from(commit[..commit.len() - 2].to_vec())),
             None
         );
+    }
+
+    #[test]
+    fn relay_frame_roundtrips_and_unrelay() {
+        for body in [Bytes::new(), Bytes::from_static(b"opaque request body")] {
+            let relay = Frame::RelayRequest(body.clone());
+            assert_eq!(Frame::decode(&relay.encode()), Some(relay.clone()));
+            assert_eq!(relay.unrelay(), (Frame::Request(body.clone()), true));
+            let reply = Frame::RelayedReply(body.clone());
+            assert_eq!(Frame::decode(&reply.encode()), Some(reply.clone()));
+            assert_eq!(reply.unrelay(), (Frame::Reply(body.clone()), true));
+        }
+        // Plain frames pass through unflagged.
+        let plain = Frame::Reply(Bytes::from_static(b"direct"));
+        assert_eq!(plain.clone().unrelay(), (plain, false));
+    }
+
+    /// The relay example frames from `docs/PROTOCOL.md`, byte for byte.
+    /// If this fails, either the encoder or the documentation is wrong
+    /// — fix whichever diverged.
+    #[test]
+    fn documented_relay_example_frames() {
+        // PROTOCOL.md "Worked example (relay frames)": the old owner
+        // relays a request whose opaque body is the three bytes
+        // "get".
+        let documented: &[u8] = &[
+            0x0E, // tag: RELAY_REQUEST
+            0x01, // relay-format version 1
+            0x00, 0x00, 0x00, 0x03, // body length 3
+            b'g', b'e', b't', // body (opaque)
+        ];
+        let expect = Frame::RelayRequest(Bytes::from_static(b"get"));
+        assert_eq!(expect.encode(), Bytes::from_static(documented));
+        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
+
+        // The new owner's answer, sent straight to the client: a
+        // two-byte body "ok".
+        let documented: &[u8] = &[
+            0x0F, // tag: RELAYED_REPLY
+            0x01, // relay-format version 1
+            0x00, 0x00, 0x00, 0x02, // body length 2
+            b'o', b'k', // body (opaque)
+        ];
+        let expect = Frame::RelayedReply(Bytes::from_static(b"ok"));
+        assert_eq!(expect.encode(), Bytes::from_static(documented));
+        assert_eq!(Frame::decode(&Bytes::from_static(documented)), Some(expect));
+    }
+
+    #[test]
+    fn hostile_relay_frames_rejected() {
+        let good = Frame::RelayedReply(Bytes::from_static(b"abc")).encode();
+
+        // Unknown relay-format version.
+        let mut bad = good.to_vec();
+        bad[1] = 2;
+        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
+
+        // Every strict prefix is truncated.
+        for cut in 0..good.len() {
+            assert_eq!(Frame::decode(&good.slice(..cut)), None, "prefix {cut}");
+        }
+        // Trailing bytes after the body.
+        let mut bad = good.to_vec();
+        bad.push(0);
+        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
+
+        // Body length ~u32::MAX must not overflow offset math.
+        let mut bad = good.to_vec();
+        for b in &mut bad[2..6] {
+            *b = 0xFF;
+        }
+        assert_eq!(Frame::decode(&Bytes::from(bad)), None);
+    }
+
+    mod relay_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn relay_frame(reply: bool, body: Vec<u8>) -> Frame {
+            if reply {
+                Frame::RelayedReply(Bytes::from(body))
+            } else {
+                Frame::RelayRequest(Bytes::from(body))
+            }
+        }
+
+        proptest! {
+            /// Every strict prefix of a relay frame is dropped, and the
+            /// whole frame decodes to itself.
+            #[test]
+            fn relay_truncations_are_dropped(
+                reply: bool,
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let frame = relay_frame(reply, body);
+                let wire = frame.encode();
+                for cut in 0..wire.len() {
+                    prop_assert_eq!(Frame::decode(&wire.slice(..cut)), None);
+                }
+                prop_assert_eq!(Frame::decode(&wire), Some(frame));
+            }
+
+            /// Any version byte other than RELAY_VERSION drops the
+            /// frame.
+            #[test]
+            fn relay_unknown_versions_are_dropped(
+                reply: bool,
+                version: u8,
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+            ) {
+                let mut wire = relay_frame(reply, body).encode().to_vec();
+                wire[1] = if version == RELAY_VERSION { 0 } else { version };
+                prop_assert_eq!(Frame::decode(&Bytes::from(wire)), None);
+            }
+
+            /// Bytes after the declared body drop the frame.
+            #[test]
+            fn relay_trailing_bytes_are_dropped(
+                reply: bool,
+                body in proptest::collection::vec(any::<u8>(), 0..64),
+                trailer in proptest::collection::vec(any::<u8>(), 1..16),
+            ) {
+                let mut wire = relay_frame(reply, body).encode().to_vec();
+                wire.extend_from_slice(&trailer);
+                prop_assert_eq!(Frame::decode(&Bytes::from(wire)), None);
+            }
+        }
     }
 
     #[test]

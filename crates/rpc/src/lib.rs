@@ -74,7 +74,7 @@ pub use lease::PortLeaseBroker;
 
 pub use frame::{
     BatchReplyEntry, BatchStatus, Frame, FrameKind, ReplicaInfo, TransferOp, BATCH_VERSION,
-    CLUSTER_VERSION, MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS, TRANSFER_VERSION,
+    CLUSTER_VERSION, MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS, RELAY_VERSION, TRANSFER_VERSION,
 };
 pub use locate::{Locator, PlacementPolicy, Replica, ReplicaCache};
 pub use matchmaker::{Matchmaker, RendezvousNode};

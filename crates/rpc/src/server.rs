@@ -32,7 +32,7 @@
 //! for its port, implementing the software match-making of §2.2.
 
 use crate::client::CodecConfig;
-use crate::frame::{self, BatchReplyEntry, BatchStatus, Frame, TransferOp};
+use crate::frame::{self, BatchReplyEntry, BatchStatus, Frame, FrameKind, TransferOp};
 use amoeba_net::{
     BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
 };
@@ -70,6 +70,10 @@ pub struct IncomingRequest {
     /// migration); `payload` is empty and the dispatch layer routes the
     /// op to the service's migrator instead of its request handler.
     transfer: Option<TransferOp>,
+    /// Whether this request arrived as a `RELAY_REQUEST` (forwarded by
+    /// a server that no longer owns its shard); the reply then goes out
+    /// as a `RELAYED_REPLY` so the client's route cache ignores it.
+    relayed: bool,
     /// Virtual-clock delivery gate, held while the decoded request
     /// waits in the ready queue and released when a worker claims it.
     gate: Option<Gate>,
@@ -542,8 +546,11 @@ impl ServerPort {
 
     /// Decodes one packet into zero or more ready requests.
     fn process(&self, pkt: amoeba_net::Packet) {
-        match Frame::decode(&pkt.payload) {
-            Some(Frame::Request(body)) if pkt.header.dest == self.wire_port => {
+        let Some((frame, relayed)) = Frame::decode(&pkt.payload).map(Frame::unrelay) else {
+            return;
+        };
+        match frame {
+            Frame::Request(body) if pkt.header.dest == self.wire_port => {
                 let _ = self.ready_tx.send(IncomingRequest {
                     payload: body,
                     reply_to: pkt.header.reply,
@@ -551,13 +558,14 @@ impl ServerPort {
                     source: pkt.source,
                     batch: None,
                     transfer: None,
+                    relayed,
                     gate: self.ready_gate(&pkt),
                 });
                 // Ready pushes are not network events; wake
                 // reactor-parked workers explicitly.
                 self.endpoint.reactor().notify();
             }
-            Some(Frame::Transfer(op)) if pkt.header.dest == self.wire_port => {
+            Frame::Transfer(op) if pkt.header.dest == self.wire_port => {
                 let _ = self.ready_tx.send(IncomingRequest {
                     payload: Bytes::new(),
                     reply_to: pkt.header.reply,
@@ -565,11 +573,12 @@ impl ServerPort {
                     source: pkt.source,
                     batch: None,
                     transfer: Some(op),
+                    relayed: false,
                     gate: self.ready_gate(&pkt),
                 });
                 self.endpoint.reactor().notify();
             }
-            Some(Frame::BatchRequest { id, entries }) if pkt.header.dest == self.wire_port => {
+            Frame::BatchRequest { id, entries } if pkt.header.dest == self.wire_port => {
                 // One-way batches (null reply port) are dispatched with
                 // no accumulator: every entry is served, nothing is
                 // sent back — mirroring one-way single frames.
@@ -592,13 +601,14 @@ impl ServerPort {
                             index: index as u16,
                         }),
                         transfer: None,
+                        relayed: false,
                         gate: self.ready_gate(&pkt),
                     });
                 }
                 self.endpoint.reactor().notify();
             }
             // Someone broadcast a LOCATE for our port; answer it.
-            Some(Frame::Locate(port))
+            Frame::Locate(port)
                 if pkt.header.dest.is_broadcast()
                     && port == self.wire_port
                     && !pkt.header.reply.is_null() =>
@@ -642,7 +652,11 @@ impl ServerPort {
                     return;
                 }
                 let mut buf = self.pool.take();
-                frame::encode_reply_into(&mut buf, &body);
+                if request.relayed {
+                    frame::encode_relay_into(&mut buf, FrameKind::RelayedReply, &body);
+                } else {
+                    frame::encode_reply_into(&mut buf, &body);
+                }
                 self.pool.retire(body);
                 let frame = buf.freeze();
                 self.endpoint
@@ -658,6 +672,11 @@ impl ServerPort {
     /// port alone, so the relayed reply completes the original
     /// transaction with no gap and no extra hop back through us.
     ///
+    /// The request travels as a `RELAY_REQUEST` frame, so the new owner
+    /// answers with a `RELAYED_REPLY`: the client then knows the
+    /// replying machine does not serve the port it addressed, and its
+    /// `(port, machine)` route cache keeps the route it had.
+    ///
     /// Only sound on **open interfaces** (every cluster deployment in
     /// this repository): an F-box would transform the relayed reply and
     /// signature fields a second time on our egress, breaking the
@@ -672,7 +691,7 @@ impl ServerPort {
             return false;
         }
         let mut buf = self.pool.take();
-        frame::encode_request_into(&mut buf, &request.payload);
+        frame::encode_relay_into(&mut buf, FrameKind::RelayRequest, &request.payload);
         let frame = buf.freeze();
         let mut header = Header::to(dest).with_reply(request.reply_to);
         if let Some(sig) = request.signature {
@@ -689,6 +708,9 @@ impl ServerPort {
                 dest.value(),
                 request.reply_to.value(),
             );
+            if let Some(m) = obs.metrics() {
+                m.requests_forwarded.add(1);
+            }
         }
         true
     }
@@ -731,7 +753,7 @@ fn signature_of(pkt: &amoeba_net::Packet) -> Option<Port> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::{Client, RpcConfig};
+    use crate::client::{Client, RpcConfig, RpcError};
     use amoeba_net::Network;
 
     fn fast() -> RpcConfig {
@@ -882,6 +904,47 @@ mod tests {
         );
         let total: u32 = workers.into_iter().map(|w| w.join().unwrap()).sum();
         assert_eq!(total, 12, "every batch entry claimed exactly once");
+    }
+
+    #[test]
+    fn forward_relays_single_requests_and_rejects_batch_entries() {
+        // A single request is relayed as RELAY_REQUEST and its reply
+        // comes back as RELAYED_REPLY; batch entries cannot be relayed
+        // (their replies fan in here), so both are rejected instead.
+        let net = Network::new();
+        let old = ServerPort::bind(net.attach_open(), Port::new(0x88).unwrap());
+        let new = ServerPort::bind(net.attach_open(), Port::new(0x89).unwrap());
+        let (p_old, p_new) = (old.put_port(), new.put_port());
+        let relay = std::thread::spawn(move || {
+            let mut relayed = 0;
+            while let Ok(req) = old.next_request_timeout(Duration::from_millis(300)) {
+                relayed += u32::from(old.forward(&req, p_new));
+            }
+            relayed
+        });
+        let serve = std::thread::spawn(move || {
+            while let Ok(req) = new.next_request_timeout(Duration::from_millis(300)) {
+                assert!(req.relayed, "forwarded requests arrive flagged");
+                new.reply(&req, Bytes::from_static(b"served"));
+            }
+        });
+        let client = Client::with_config(net.attach_open(), fast());
+        let (body, relayed) = client
+            .trans_relayed(p_old, Bytes::from_static(b"one"))
+            .unwrap();
+        assert_eq!((&body[..], relayed), (&b"served"[..], true));
+        let results = client
+            .trans_batch(
+                p_old,
+                vec![Bytes::from_static(b"a"), Bytes::from_static(b"b")],
+            )
+            .unwrap();
+        assert_eq!(
+            results,
+            vec![Err(RpcError::Rejected), Err(RpcError::Rejected)]
+        );
+        assert_eq!(relay.join().unwrap(), 1, "only the single request relays");
+        serve.join().unwrap();
     }
 
     #[test]

@@ -570,6 +570,26 @@ impl ServiceClient {
         self.decode_reply(raw)
     }
 
+    /// [`call_at`](Self::call_at) that also reports whether the reply
+    /// was relayed: the server at `port` no longer owns the object's
+    /// shard and forwarded the call to the new owner (see
+    /// [`Client::trans_relayed`]). Shard-map clients re-route on it.
+    ///
+    /// # Errors
+    /// As for [`call`](Self::call).
+    pub fn call_at_relayed(
+        &self,
+        port: Port,
+        cap: &Capability,
+        command: u32,
+        params: Bytes,
+    ) -> Result<(Bytes, bool), ClientError> {
+        let (raw, relayed) = self
+            .rpc
+            .trans_relayed(port, self.encode_request(cap, command, params))?;
+        Ok((self.decode_reply(raw)?, relayed))
+    }
+
     /// Encodes a request body into a recycled buffer from the client's
     /// [`BufPool`](amoeba_net::BufPool), releasing the params bytes
     /// (reclaimed only if this was the last handle — params are often

@@ -102,6 +102,61 @@ fn disabled_obs_record_path_adds_zero_allocs_and_zero_locks() {
     assert_eq!(events[0].trace, 42);
 }
 
+/// The forwarding anomaly counters (`requests_forwarded`,
+/// `relayed_replies`, `route_evictions`, `shard_refreshes`) are bumped
+/// on the forward, reply-demux, retransmit and re-route paths exactly
+/// as below: look up the live registry, add one. With the recorder
+/// enabled that must still cost no allocation and no lock.
+#[test]
+fn enabled_anomaly_counters_add_zero_allocs_and_zero_locks() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const RECORDS: u64 = 1_000_000;
+
+    let net = Network::new();
+    let obs = net.obs().clone();
+    obs.enable(); // one-time allocation, outside the window
+    let before = obs.metrics().expect("enabled").snapshot();
+
+    let allocs0 = thread_allocs();
+    let hot0 = net.hot_path();
+    for _ in 0..RECORDS {
+        let Some(m) = obs.metrics() else {
+            unreachable!("the handle is enabled for the whole window");
+        };
+        m.requests_forwarded.add(1);
+        m.relayed_replies.add(1);
+        m.route_evictions.add(1);
+        m.shard_refreshes.add(1);
+    }
+    let hot = net.hot_path() - hot0;
+    let allocs = thread_allocs() - allocs0;
+
+    assert_eq!(allocs, 0, "anomaly counters allocated {allocs} times");
+    assert_eq!(hot.lock_acquisitions, 0, "anomaly counters took locks");
+    assert_eq!(hot.buffer_allocs, 0, "anomaly counters touched the pool");
+    let after = obs.metrics().expect("enabled").snapshot();
+    for (name, delta) in [
+        (
+            "requests_forwarded",
+            after.requests_forwarded - before.requests_forwarded,
+        ),
+        (
+            "relayed_replies",
+            after.relayed_replies - before.relayed_replies,
+        ),
+        (
+            "route_evictions",
+            after.route_evictions - before.route_evictions,
+        ),
+        (
+            "shard_refreshes",
+            after.shard_refreshes - before.shard_refreshes,
+        ),
+    ] {
+        assert_eq!(delta, RECORDS, "{name} lost updates");
+    }
+}
+
 #[test]
 fn cached_resolve_hit_adds_zero_allocs_and_zero_locks() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

@@ -382,6 +382,7 @@ proptest! {
 /// ownership and nothing else.
 mod reference_codec {
     use amoeba::net::{MachineId, Port};
+    use amoeba::rpc::RELAY_VERSION;
     use amoeba::rpc::{BatchReplyEntry, BatchStatus, Frame, ReplicaInfo};
     use amoeba::rpc::{BATCH_VERSION, CLUSTER_VERSION, MAX_BATCH_ENTRIES, MAX_LOCATE_REPLICAS};
     use bytes::Bytes;
@@ -508,6 +509,21 @@ mod reference_codec {
                     }
                 }
             }
+            14 | 15 => {
+                if *rest.first()? != RELAY_VERSION {
+                    return None;
+                }
+                let len = u32::from_be_bytes(rest.get(1..5)?.try_into().ok()?) as usize;
+                if rest.len() != 5usize.checked_add(len)? {
+                    return None;
+                }
+                let body = Bytes::from(rest[5..].to_vec());
+                Some(if tag == 14 {
+                    Frame::RelayRequest(body)
+                } else {
+                    Frame::RelayedReply(body)
+                })
+            }
             _ => None,
         }
     }
@@ -571,6 +587,28 @@ proptest! {
             Frame::decode(&Bytes::from(data.clone())),
             reference_codec::decode(&data)
         );
+    }
+
+    /// Relay frames with a right or wrong version byte and a length
+    /// field that matches the body, falls short of it or overruns it:
+    /// the two decoders agree on every such frame and on every prefix.
+    #[test]
+    fn zero_copy_decode_matches_reference_on_relay_frames(
+        tag in 14u8..=15,
+        version_ok: bool,
+        slack in 0u32..3,
+        body in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let mut data = vec![tag, if version_ok { 1 } else { 2 }];
+        let len = (body.len() as u32 + slack).saturating_sub(1);
+        data.extend_from_slice(&len.to_be_bytes());
+        data.extend_from_slice(&body);
+        for cut in 0..=data.len() {
+            prop_assert_eq!(
+                Frame::decode(&Bytes::from(data[..cut].to_vec())),
+                reference_codec::decode(&data[..cut])
+            );
+        }
     }
 
     /// Valid batch frames and every strict prefix of them decode

@@ -17,6 +17,9 @@
 //! * **Clean ends only**: the migration either commits (source
 //!   forwards, target owns) or aborts (source serves on, untouched).
 //! * **Exact replay**: two runs of one seed are byte-identical.
+//! * **No hidden timeouts after the commit**: on a quiet plan, a warm
+//!   client's forwarded calls cost zero retransmits and zero timeouts
+//!   (the relayed reply must not re-teach its route cache).
 //!
 //! Environment knobs: `SIM_MIG_SEED=<n>` replays one seed,
 //! `SIM_MIG_SEEDS=<n>` sets the hammer's sweep width (default 10),
@@ -76,6 +79,35 @@ fn shard_of(cap: &Capability) -> usize {
     placement_range(cap.object, DEFAULT_SHARDS, DEFAULT_SHARDS)
 }
 
+/// Two replicas splitting the shard space, as an elastic pair would:
+/// the source owns the even shards, the target the odd ones. Secrets
+/// are seed-derived so two runs of one seed mint identical
+/// capabilities.
+fn bind_replica_pair(net: &Network, seed: u64) -> (SimPump, SimPump) {
+    let mut src_fs = FlatFsServer::new(SchemeKind::Simple);
+    src_fs.reseed_secrets(seed ^ 0x5EC0);
+    amoeba::server::Service::bind_shard_range(&mut src_fs, 0, 2);
+    let src_pump = SimPump::bind(net.attach_open(), source_port(), src_fs);
+    let mut tgt_fs = FlatFsServer::new(SchemeKind::Simple);
+    tgt_fs.reseed_secrets(seed ^ 0x7A67);
+    amoeba::server::Service::bind_shard_range(&mut tgt_fs, 1, 2);
+    let tgt_pump = SimPump::bind(net.attach_open(), target_port(), tgt_fs);
+    (src_pump, tgt_pump)
+}
+
+/// Registers both replicas' pumps as daemons of `exec`.
+fn spawn_pumps<'a>(exec: &mut SimExecutor<'a>, pumps: [&'a SimPump; 2]) {
+    for pump in pumps {
+        exec.spawn_daemon(pump.machine(), move || {
+            if pump.poll() {
+                ActorPoll::Progress
+            } else {
+                ActorPoll::Idle
+            }
+        });
+    }
+}
+
 /// What one seeded migration scenario observed.
 #[derive(Debug, Clone)]
 struct MigReport {
@@ -112,17 +144,7 @@ fn run_migration_scenario(
         net.sim_record_log(true);
     }
 
-    // Two replicas splitting the shard space, as an elastic pair would:
-    // source owns the even shards, target the odd ones. Secrets are
-    // seed-derived so two runs of one seed mint identical capabilities.
-    let mut src_fs = FlatFsServer::new(SchemeKind::Simple);
-    src_fs.reseed_secrets(seed ^ 0x5EC0);
-    amoeba::server::Service::bind_shard_range(&mut src_fs, 0, 2);
-    let src_pump = SimPump::bind(net.attach_open(), source_port(), src_fs);
-    let mut tgt_fs = FlatFsServer::new(SchemeKind::Simple);
-    tgt_fs.reseed_secrets(seed ^ 0x7A67);
-    amoeba::server::Service::bind_shard_range(&mut tgt_fs, 1, 2);
-    let tgt_pump = SimPump::bind(net.attach_open(), target_port(), tgt_fs);
+    let (src_pump, tgt_pump) = bind_replica_pair(&net, seed);
     net.sim_bind_fault_target(0, src_pump.machine());
     net.sim_bind_fault_target(1, tgt_pump.machine());
 
@@ -159,15 +181,7 @@ fn run_migration_scenario(
 
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut exec = SimExecutor::new(&net);
-        for pump in [&src_pump, &tgt_pump] {
-            exec.spawn_daemon(pump.machine(), move || {
-                if pump.poll() {
-                    ActorPoll::Progress
-                } else {
-                    ActorPoll::Idle
-                }
-            });
-        }
+        spawn_pumps(&mut exec, [&src_pump, &tgt_pump]);
 
         let migrator = src_pump.service().migrator().expect("flatfs migrates");
         let mut migration = ShardMigration::new(
@@ -523,4 +537,128 @@ fn target_crash_mid_migration_loses_nothing() {
     };
     let report = run_migration_scenario(MIG_SEED_BASE + 0x301, plan, 4, 3, false);
     assert!(report.counters.crash_dropped > 0, "the window must bite");
+}
+
+/// Drives `requests` one after another from `client` to the source's
+/// port on a fresh executor (the pumps serve as daemons) and returns
+/// every reply body. Any transaction timeout fails the run: this is
+/// for quiet plans only.
+fn call_in_order(
+    net: &Network,
+    pumps: [&SimPump; 2],
+    client: &Client,
+    requests: Vec<Bytes>,
+) -> Vec<Bytes> {
+    let replies = RefCell::new(Vec::with_capacity(requests.len()));
+    {
+        let mut exec = SimExecutor::new(net);
+        spawn_pumps(&mut exec, pumps);
+        let mut queue = requests.into_iter();
+        let mut current: Option<amoeba::rpc::Completion<'_, Bytes>> = None;
+        let replies = &replies;
+        exec.spawn(client.endpoint().id(), move || loop {
+            if let Some(comp) = current.as_mut() {
+                match comp.poll() {
+                    None => return ActorPoll::IdleUntil(comp.deadline()),
+                    Some(Ok(raw)) => {
+                        let reply = Reply::decode(&raw).expect("reply decodes");
+                        assert_eq!(reply.status, Status::Ok);
+                        replies.borrow_mut().push(reply.body);
+                        current = None;
+                    }
+                    Some(Err(e)) => panic!("quiet plan, call {}: {e}", replies.borrow().len()),
+                }
+            }
+            match queue.next() {
+                Some(frame) => current = Some(client.trans_async(source_port(), frame)),
+                None => return ActorPoll::Done,
+            }
+        });
+        exec.run()
+            .unwrap_or_else(|stall| panic!("post-commit scenario stalled: {stall}"));
+    }
+    replies.into_inner()
+}
+
+/// The post-commit gate: once a quiet-plan migration commits, every
+/// call a **warm** client (its route cache names the source machine)
+/// sends for the moved shard is forwarded — and costs no retransmit, no
+/// timeout and no route eviction. Before relayed replies were marked,
+/// the first forward taught the route cache the new owner's machine and
+/// every later call paid one full attempt timeout.
+#[test]
+fn post_commit_forwarding_costs_no_retransmits() {
+    let seed = MIG_SEED_BASE + 0x400;
+    let net = Network::new_sim_with_plan(seed, FaultPlan::quiet());
+    net.set_latency(Duration::from_millis(1));
+    net.obs().enable();
+    let (src_pump, tgt_pump) = bind_replica_pair(&net, seed);
+    let pumps = [&src_pump, &tgt_pump];
+    let config = RpcConfig {
+        timeout: Duration::from_millis(25),
+        attempts: 10,
+    };
+    let mut rng_seed = seed;
+    let warm =
+        Client::with_config(net.attach_open(), config).with_rng_seed(splitmix64(&mut rng_seed));
+
+    // Warm-up: two objects per source shard, each written once.
+    let creates = (0..DEFAULT_SHARDS)
+        .map(|_| encode_request(&null_cap(), ops::CREATE, Bytes::new()))
+        .collect();
+    let caps: Vec<Capability> = call_in_order(&net, pumps, &warm, creates)
+        .iter()
+        .map(|body| wire::Reader::new(body).cap().expect("create cap"))
+        .collect();
+    let writes = caps
+        .iter()
+        .map(|cap| {
+            let data = wire::Writer::new().u64(0).bytes(b"before").finish();
+            encode_request(cap, ops::WRITE, data)
+        })
+        .collect();
+    call_in_order(&net, pumps, &warm, writes);
+    let src_machine = src_pump.machine();
+    assert_eq!(warm.cached_route(source_port()), Some(src_machine));
+
+    // Migrate the shard of the first object to completion.
+    let shard = shard_of(&caps[0]);
+    let mig_client =
+        Client::with_config(net.attach_open(), config).with_rng_seed(splitmix64(&mut rng_seed));
+    let migrator = src_pump.service().migrator().expect("flatfs migrates");
+    let mut migration = ShardMigration::new(&mig_client, migrator, shard, 1, target_port(), None);
+    {
+        let mut exec = SimExecutor::new(&net);
+        spawn_pumps(&mut exec, pumps);
+        let migration = &mut migration;
+        exec.spawn(mig_client.endpoint().id(), move || migration.poll());
+        exec.run().expect("migration runs to its end");
+    }
+    migration
+        .result()
+        .expect("terminal state")
+        .as_ref()
+        .expect("a quiet plan commits");
+
+    // Post-commit: 4 rounds over every object, all through the stale
+    // route to the source's port.
+    let moved = caps.iter().filter(|c| shard_of(c) == shard).count() as u64;
+    assert!(moved >= 1);
+    let reads = (0..4)
+        .flat_map(|_| caps.iter())
+        .map(|cap| encode_request(cap, ops::READ, wire::Writer::new().u64(0).u32(64).finish()))
+        .collect();
+    let m = net.obs().metrics().expect("obs enabled");
+    let before = m.snapshot();
+    for body in call_in_order(&net, pumps, &warm, reads) {
+        assert_eq!(&body[..], b"before");
+    }
+    let after = m.snapshot();
+    let forwarded = after.requests_forwarded - before.requests_forwarded;
+    assert_eq!(forwarded, 4 * moved, "every moved-shard call is relayed");
+    assert_eq!(after.relayed_replies - before.relayed_replies, forwarded);
+    assert_eq!(after.retransmits - before.retransmits, 0);
+    assert_eq!(after.trans_timeouts - before.trans_timeouts, 0);
+    assert_eq!(after.route_evictions - before.route_evictions, 0);
+    assert_eq!(warm.cached_route(source_port()), Some(src_machine));
 }
