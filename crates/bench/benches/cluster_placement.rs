@@ -6,10 +6,11 @@
 //! round-trip) at 2 ms per network hop:
 //!
 //! * **placement / metered-create / {1,3}** — the same 24-create
-//!   hammer against a 1-replica and a 3-replica sharded cluster. The
-//!   workload is latency-bound, so throughput scales with machines —
-//!   the acceptance bar (checked in `tests/cluster.rs`) is ≥ 2× for
-//!   3 replicas.
+//!   hammer against a 1-replica and a 3-replica sharded cluster, from
+//!   clients bootstrapped off a directory once per rig (outside the
+//!   timed loop). The workload is latency-bound, so throughput scales
+//!   with machines — the acceptance bar (checked in
+//!   `tests/cluster.rs`) is ≥ 2× for 3 replicas.
 //! * **failover latency** — with 3 replicas serving one port, halt one
 //!   and time the first call that trips over it: the cost is one
 //!   attempt timeout plus a retry on a survivor, and every later call
@@ -27,25 +28,30 @@
 use amoeba_bank::{BankClient, BankServer, Currency, CurrencyId};
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::Capability;
-use amoeba_cluster::{ClusterClient, ServiceCluster, ShardedClient, ShardedCluster};
+use amoeba_cluster::{ClusterClient, ElasticClient, ElasticCluster, ServiceCluster};
+use amoeba_dirsvr::{DirClient, DirServer};
 use amoeba_flatfs::{ops, FlatFsServer, QuotaPolicy};
 use amoeba_net::Network;
 use amoeba_server::proto::{Reply, Request, Status};
-use amoeba_server::{wire, RequestCtx, Service, ServiceClient, ServiceRunner};
+use amoeba_server::{wire, RequestCtx, Service, ServiceRunner};
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 12;
 const CALLS_PER_CLIENT: usize = 2;
 const HOP_LATENCY: Duration = Duration::from_millis(2);
 
-/// A sharded metered flat file cluster plus its bank and one funded
-/// wallet.
+/// A sharded metered flat file cluster published under a directory,
+/// its bank, one funded wallet, and the hammer's clients — bootstrapped
+/// from the directory once, shared by every timed round.
 struct Rig {
     net: Network,
     _bank_runner: ServiceRunner,
-    cluster: Option<ShardedCluster>,
+    _dir_runner: ServiceRunner,
+    cluster: Option<ElasticCluster>,
+    clients: Vec<Arc<ElasticClient>>,
     wallet: Capability,
 }
 
@@ -61,7 +67,7 @@ fn rig(replicas: usize) -> Rig {
     let wallet = bank.open_account().unwrap();
     bank.mint(&treasury, &wallet, CurrencyId(0), 10_000_000)
         .unwrap();
-    let cluster = ShardedCluster::spawn_open(&net, replicas, 1, |_| {
+    let cluster = ElasticCluster::spawn_open(&net, replicas, 1, |_| {
         FlatFsServer::with_quota(
             SchemeKind::OneWay,
             QuotaPolicy {
@@ -72,10 +78,22 @@ fn rig(replicas: usize) -> Rig {
             },
         )
     });
+    let dir_runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
+    let dirs = DirClient::open(&net, dir_runner.put_port());
+    let root = dirs.create_dir().unwrap();
+    cluster.publish(&dirs, &root, "flatfs").unwrap();
+    let clients = (0..CLIENTS)
+        .map(|_| {
+            let dirs = DirClient::open(&net, dir_runner.put_port());
+            Arc::new(ElasticClient::from_directory(&net, dirs, &root, "flatfs").unwrap())
+        })
+        .collect();
     Rig {
         net,
         _bank_runner: bank_runner,
+        _dir_runner: dir_runner,
         cluster: Some(cluster),
+        clients,
         wallet,
     }
 }
@@ -92,14 +110,13 @@ impl Drop for Rig {
 /// CLIENTS threads each perform CALLS_PER_CLIENT pre-paid creates
 /// through their own sharded client.
 fn hammer(rig: &Rig) {
-    let ports = rig.cluster.as_ref().unwrap().range_ports().to_vec();
-    let handles: Vec<_> = (0..CLIENTS)
-        .map(|_| {
-            let net = rig.net.clone();
-            let ports = ports.clone();
+    let handles: Vec<_> = rig
+        .clients
+        .iter()
+        .map(|client| {
+            let client = Arc::clone(client);
             let wallet = rig.wallet;
             std::thread::spawn(move || {
-                let client = ShardedClient::new(ServiceClient::open(&net), ports);
                 for _ in 0..CALLS_PER_CLIENT {
                     let params = wire::Writer::new().cap(&wallet).u64(1).finish();
                     let body = client.call_create(ops::CREATE, params).unwrap();

@@ -1,4 +1,4 @@
-//! Hot path: what the zero-copy codec buys, per operation.
+//! Hot path: what the zero-copy codec costs, per operation.
 //!
 //! The paper's premise is that sparse-capability checking is cheap
 //! enough to run on every message — the F-box is imagined as hardware
@@ -7,40 +7,41 @@
 //! are the dominant *real* cost of the metered-create hammer, so this
 //! bench meters exactly those: for the steady-state workload it
 //! reports **ns/op**, **buffer allocs/op** and **one-way-function
-//! evals/op**, for three shapes:
+//! evals/op**, for four shapes:
 //!
 //! * **single** — the §3.6 metered create (nested bank payment), every
 //!   machine behind an F-box, one frame per request;
 //! * **batched** — the same creates shipped 16 to a `BATCH_REQUEST`
 //!   frame, server-side fan-out, embedded bank client pipelined;
 //! * **cluster** — the creates spread over a 3-replica sharded
-//!   placement group (open interfaces; the leg isolates pooling, not
-//!   crypto);
+//!   placement group bootstrapped from a directory (open interfaces;
+//!   the leg isolates pooling, not crypto);
 //! * **contended** — independent fleets sharing one `BufPool`, at one
 //!   thread and at two: per-op hot-lock acquisitions and the 1→2-core
 //!   throughput scaling (the lock-free demux and thread-local pool
 //!   caches should leave nothing for a second core to wait on).
 //!
-//! Each shape runs twice: once with [`CodecConfig::legacy`] (fresh
-//! allocation per frame, fresh random reply port per transaction,
-//! uncached F-boxes — the pre-PR codec) and once with the default
-//! zero-copy fast path (pooled buffers, recycled reply ports, memoized
-//! F). The wire bytes are identical in both modes; only the CPU-side
-//! cost differs. `tests/scale.rs` gates the single-shape ratios at
-//! ≥5× (allocs/op) and ≥10× (oneway/op).
+//! Every shape runs the one codec there is: pooled frame buffers,
+//! recycled reply ports and memoized F-boxes. `tests/scale.rs` gates
+//! the single shape on absolute figures (at most 0.5 allocs/op, 0.5
+//! oneway evals/op and 9 frames/op, zero hot locks, zero
+//! retransmissions and timeouts).
 //!
 //! Besides stdout, the headline numbers go to `BENCH_hotpath.json`
 //! (override with `BENCH_HOTPATH_OUT`) so CI can archive the perf
 //! trajectory and fail on allocation regressions.
 
 use amoeba_bank::{BankClient, BankServer, Currency, CurrencyId};
-use amoeba_bench::{contended_hot_path, hot_path_round, HotPathMeasure, METERED_HOP_LATENCY};
+use amoeba_bench::{
+    contended_hot_path, hot_path_round, measure_hot_path, HotPathMeasure, METERED_HOP_LATENCY,
+};
 use amoeba_cap::schemes::SchemeKind;
 use amoeba_cap::Capability;
-use amoeba_cluster::{ShardedClient, ShardedCluster};
+use amoeba_cluster::{ElasticClient, ElasticCluster};
+use amoeba_dirsvr::{DirClient, DirServer};
 use amoeba_flatfs::{ops, FlatFsServer, QuotaPolicy};
-use amoeba_net::Network;
-use amoeba_rpc::{Client, CodecConfig, DemuxPolicy, PipelineConfig, RpcConfig};
+use amoeba_net::{BufPool, Network};
+use amoeba_rpc::{Client, DemuxPolicy, PipelineConfig, RpcConfig};
 use amoeba_server::proto::null_cap;
 use amoeba_server::{wire, ServiceClient, ServiceRunner};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -58,39 +59,29 @@ fn patient() -> RpcConfig {
     }
 }
 
-fn codec_for(legacy: bool) -> CodecConfig {
-    if legacy {
-        CodecConfig::legacy()
-    } else {
-        CodecConfig::default()
-    }
-}
-
 /// The batched shape: metered creates shipped [`BATCH`] to a frame
 /// (then batch-destroyed), embedded bank pipelined, every pool shared
 /// so allocation counts cover the whole fleet.
-fn batched_leg(legacy: bool) -> HotPathMeasure {
+fn batched_leg() -> HotPathMeasure {
     let net = Network::new_virtual();
-    let codec = codec_for(legacy);
-    let pool = codec.pool.clone();
+    let pool = BufPool::new();
 
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
-    // The bank serves metered traffic during measurement, so it must
-    // ride the leg's codec too — a default-codec bank would quietly
-    // run pooled inside the "legacy" leg.
-    let bank_runner = ServiceRunner::spawn_workers_with_codec(
+    // The bank serves metered traffic during measurement, so it shares
+    // the leg's pool: its allocations count too.
+    let bank_runner = ServiceRunner::spawn_workers_with_pool(
         net.attach_open(),
         amoeba_net::Port::new(0xBA2C).expect("port"),
         bank_server,
         1,
-        codec.clone(),
+        pool.clone(),
     );
     let bank_port = bank_runner.put_port();
     let treasury = treasury_rx.recv().expect("treasury");
     let bank = BankClient::with_service(
         ServiceClient::with_client(
-            Client::with_config(net.attach_open(), patient()).with_codec(codec.clone()),
+            Client::with_config(net.attach_open(), patient()).with_pool(pool.clone()),
         ),
         bank_port,
     );
@@ -100,7 +91,7 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
         .expect("mint");
 
     // The embedded bank client pipelines so the pool workers' payment
-    // transfers coalesce (the PR 2 shape), on the shared codec.
+    // transfers coalesce (the PR 2 shape), on the shared pool.
     let quota_bank = BankClient::with_service(
         ServiceClient::with_client(
             Client::with_config(net.attach_open(), patient())
@@ -112,11 +103,11 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
                     flush_window: Duration::from_millis(10),
                     max_entries: BATCH,
                 })
-                .with_codec(codec.clone()),
+                .with_pool(pool.clone()),
         ),
         bank_port,
     );
-    let runner = ServiceRunner::spawn_workers_with_codec(
+    let runner = ServiceRunner::spawn_workers_with_pool(
         net.attach_open(),
         amoeba_net::Port::new(0xB47C).expect("port"),
         FlatFsServer::with_quota(
@@ -129,11 +120,11 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
             },
         ),
         BATCH,
-        codec.clone(),
+        pool.clone(),
     );
     let port = runner.put_port();
     let svc = ServiceClient::with_client(
-        Client::with_config(net.attach_open(), patient()).with_codec(codec.clone()),
+        Client::with_config(net.attach_open(), patient()).with_pool(pool.clone()),
     );
     net.set_latency(METERED_HOP_LATENCY);
 
@@ -162,25 +153,11 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
     for _ in 0..warm_rounds {
         one_round(&svc);
     }
-    let allocs0 = pool.fresh_allocs();
-    let takes0 = pool.takes();
-    let locks0 = pool.lock_acquisitions();
-    let hot0 = net.hot_path();
-    let t0 = std::time::Instant::now();
-    for _ in 0..rounds {
-        one_round(&svc);
-    }
-    let elapsed = t0.elapsed();
-    let hot = net.hot_path() - hot0;
-    let measure = HotPathMeasure {
-        ops: (rounds * BATCH) as u64,
-        elapsed,
-        fresh_allocs: pool.fresh_allocs() - allocs0,
-        pool_takes: pool.takes() - takes0,
-        oneway_evals: hot.oneway_evals,
-        frames: hot.frames_sent,
-        hot_locks: pool.lock_acquisitions() - locks0,
-    };
+    let measure = measure_hot_path(&net, &pool, rounds * BATCH, || {
+        for _ in 0..rounds {
+            one_round(&svc);
+        }
+    });
     net.set_latency(Duration::ZERO);
     runner.stop();
     bank_runner.stop();
@@ -188,63 +165,59 @@ fn batched_leg(legacy: bool) -> HotPathMeasure {
 }
 
 /// The cluster shape: creates spread over a 3-replica sharded group,
-/// every replica metering through one shared bank. Open interfaces —
-/// the leg isolates what pooling buys under placement routing.
-fn cluster_leg(legacy: bool) -> HotPathMeasure {
+/// every replica metering through one shared bank, the client
+/// bootstrapped from a directory (§3.4). Open interfaces — the leg
+/// isolates what pooling buys under placement routing.
+fn cluster_leg() -> HotPathMeasure {
     let net = Network::new_virtual();
-    let codec = codec_for(legacy);
-    let pool = codec.pool.clone();
+    let pool = BufPool::new();
 
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
-    // On the leg's codec, like every other party (see batched_leg).
-    let bank_runner = ServiceRunner::spawn_workers_with_codec(
+    // On the leg's pool, like every other party (see batched_leg).
+    let bank_runner = ServiceRunner::spawn_workers_with_pool(
         net.attach_open(),
         amoeba_net::Port::new(0xBA2C).expect("port"),
         bank_server,
         1,
-        codec.clone(),
+        pool.clone(),
     );
     let bank_port = bank_runner.put_port();
     let treasury = treasury_rx.recv().expect("treasury");
-    let bank = BankClient::with_service(
+    let svc = || {
         ServiceClient::with_client(
-            Client::with_config(net.attach_open(), patient()).with_codec(codec.clone()),
-        ),
-        bank_port,
-    );
+            Client::with_config(net.attach_open(), patient()).with_pool(pool.clone()),
+        )
+    };
+    let bank = BankClient::with_service(svc(), bank_port);
     let server_account = bank.open_account().expect("server account");
     let wallet = bank.open_account().expect("wallet");
     bank.mint(&treasury, &wallet, CurrencyId(0), 1_000_000)
         .expect("mint");
 
     let cluster =
-        ShardedCluster::spawn_open_with_codec(&net, CLUSTER_REPLICAS, 2, codec.clone(), |_| {
+        ElasticCluster::spawn_open_with_pool(&net, CLUSTER_REPLICAS, 2, pool.clone(), |_| {
             FlatFsServer::with_quota(
                 SchemeKind::OneWay,
                 QuotaPolicy {
-                    bank: BankClient::with_service(
-                        ServiceClient::with_client(
-                            Client::with_config(net.attach_open(), patient())
-                                .with_codec(codec.clone()),
-                        ),
-                        bank_port,
-                    ),
+                    bank: BankClient::with_service(svc(), bank_port),
                     server_account,
                     currency: CurrencyId(0),
                     price_per_kib: 1,
                 },
             )
         });
-    let client = ShardedClient::new(
-        ServiceClient::with_client(
-            Client::with_config(net.attach_open(), patient()).with_codec(codec.clone()),
-        ),
-        cluster.range_ports().to_vec(),
-    );
+    // The directory only serves the bootstrap, outside the measured
+    // phase.
+    let dir_runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
+    let dirs = DirClient::open(&net, dir_runner.put_port());
+    let root = dirs.create_dir().expect("root directory");
+    cluster.publish(&dirs, &root, "flatfs").expect("publish");
+    let client =
+        ElasticClient::with_service(svc(), dirs, &root, "flatfs").expect("bootstrap shard map");
     net.set_latency(METERED_HOP_LATENCY);
 
-    let one_op = |client: &ShardedClient| {
+    let one_op = |client: &ElasticClient| {
         let params = wire::Writer::new().cap(&wallet).u64(1).finish();
         let body = client
             .call_create(ops::CREATE, params)
@@ -257,56 +230,29 @@ fn cluster_leg(legacy: bool) -> HotPathMeasure {
     for _ in 0..WARMUP_OPS {
         one_op(&client);
     }
-    let allocs0 = pool.fresh_allocs();
-    let takes0 = pool.takes();
-    let locks0 = pool.lock_acquisitions();
-    let hot0 = net.hot_path();
-    let t0 = std::time::Instant::now();
-    for _ in 0..MEASURED_OPS {
-        one_op(&client);
-    }
-    let elapsed = t0.elapsed();
-    let hot = net.hot_path() - hot0;
-    let measure = HotPathMeasure {
-        ops: MEASURED_OPS as u64,
-        elapsed,
-        fresh_allocs: pool.fresh_allocs() - allocs0,
-        pool_takes: pool.takes() - takes0,
-        oneway_evals: hot.oneway_evals,
-        frames: hot.frames_sent,
-        hot_locks: pool.lock_acquisitions() - locks0,
-    };
+    let measure = measure_hot_path(&net, &pool, MEASURED_OPS, || {
+        for _ in 0..MEASURED_OPS {
+            one_op(&client);
+        }
+    });
     net.set_latency(Duration::ZERO);
     cluster.stop();
+    dir_runner.stop();
     bank_runner.stop();
     measure
 }
 
-/// Reduction factor `legacy/fast` with a floor of 1 on the denominator
-/// (a perfect fast path measures zero).
-fn reduction(legacy: u64, fast: u64) -> f64 {
-    legacy as f64 / fast.max(1) as f64
-}
-
-fn leg_json(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) -> String {
+fn leg_json(name: &str, leg: &HotPathMeasure) -> String {
     format!(
         "  \"{name}\": {{\n    \"ops\": {},\n    \"ns_per_op\": {:.0},\n    \
          \"allocs_per_op\": {:.3},\n    \"oneway_per_op\": {:.3},\n    \
-         \"locks_per_op\": {:.3},\n    \
-         \"frames_per_op\": {:.3},\n    \"legacy_ns_per_op\": {:.0},\n    \
-         \"legacy_allocs_per_op\": {:.3},\n    \"legacy_oneway_per_op\": {:.3},\n    \
-         \"alloc_reduction\": {:.1},\n    \"oneway_reduction\": {:.1}\n  }}",
-        fast.ops,
-        fast.ns_per_op(),
-        fast.allocs_per_op(),
-        fast.oneway_per_op(),
-        fast.locks_per_op(),
-        fast.frames as f64 / fast.ops as f64,
-        legacy.ns_per_op(),
-        legacy.allocs_per_op(),
-        legacy.oneway_per_op(),
-        reduction(legacy.fresh_allocs, fast.fresh_allocs),
-        reduction(legacy.oneway_evals, fast.oneway_evals),
+         \"locks_per_op\": {:.3},\n    \"frames_per_op\": {:.3}\n  }}",
+        leg.ops,
+        leg.ns_per_op(),
+        leg.allocs_per_op(),
+        leg.oneway_per_op(),
+        leg.locks_per_op(),
+        leg.frames as f64 / leg.ops as f64,
     )
 }
 
@@ -326,33 +272,23 @@ fn contended_json(one: &HotPathMeasure, two: &HotPathMeasure) -> String {
     )
 }
 
-fn print_leg(name: &str, legacy: &HotPathMeasure, fast: &HotPathMeasure) {
+fn print_leg(name: &str, leg: &HotPathMeasure) {
     println!(
-        "hot-path/{name}: fast {:.0} ns/op, {:.2} allocs/op, {:.2} oneway/op, \
-         {:.2} locks/op (legacy {:.0} ns/op, {:.2} allocs/op, {:.2} oneway/op — \
-         {:.0}x / {:.0}x fewer)",
-        fast.ns_per_op(),
-        fast.allocs_per_op(),
-        fast.oneway_per_op(),
-        fast.locks_per_op(),
-        legacy.ns_per_op(),
-        legacy.allocs_per_op(),
-        legacy.oneway_per_op(),
-        reduction(legacy.fresh_allocs, fast.fresh_allocs),
-        reduction(legacy.oneway_evals, fast.oneway_evals),
+        "hot-path/{name}: {:.0} ns/op, {:.2} allocs/op, {:.2} oneway/op, {:.2} locks/op",
+        leg.ns_per_op(),
+        leg.allocs_per_op(),
+        leg.oneway_per_op(),
+        leg.locks_per_op(),
     );
 }
 
 fn report_headline_numbers() {
-    let single_legacy = hot_path_round(&Network::new_virtual(), true, WARMUP_OPS, MEASURED_OPS);
-    let single_fast = hot_path_round(&Network::new_virtual(), false, WARMUP_OPS, MEASURED_OPS);
-    print_leg("single", &single_legacy, &single_fast);
-    let batched_legacy = batched_leg(true);
-    let batched_fast = batched_leg(false);
-    print_leg("batched", &batched_legacy, &batched_fast);
-    let cluster_legacy = cluster_leg(true);
-    let cluster_fast = cluster_leg(false);
-    print_leg("cluster", &cluster_legacy, &cluster_fast);
+    let single = hot_path_round(&Network::new_virtual(), WARMUP_OPS, MEASURED_OPS);
+    print_leg("single", &single);
+    let batched = batched_leg();
+    print_leg("batched", &batched);
+    let cluster = cluster_leg();
+    print_leg("cluster", &cluster);
 
     // The contended leg: identical independent fleets against one
     // shared BufPool, at one thread and at two. On a machine with ≥2
@@ -373,9 +309,9 @@ fn report_headline_numbers() {
         "{{\n  \"workload\": \"metered-create hot path\",\n  \
          \"hop_latency_ms\": {},\n{},\n{},\n{},\n{}\n}}\n",
         METERED_HOP_LATENCY.as_millis(),
-        leg_json("single", &single_legacy, &single_fast),
-        leg_json("batched", &batched_legacy, &batched_fast),
-        leg_json("cluster", &cluster_legacy, &cluster_fast),
+        leg_json("single", &single),
+        leg_json("batched", &batched),
+        leg_json("cluster", &cluster),
         contended_json(&contended_1, &contended_2),
     );
     let out = std::env::var("BENCH_HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".into());
@@ -389,7 +325,7 @@ fn bench_rounds(c: &mut Criterion) {
     let mut g = amoeba_bench::net_group(c, "hot-path");
     g.sample_size(10);
     g.bench_function("metered-create/fast", |b| {
-        b.iter(|| hot_path_round(&Network::new_virtual(), false, 0, MEASURED_OPS))
+        b.iter(|| hot_path_round(&Network::new_virtual(), 0, MEASURED_OPS))
     });
     g.finish();
 }

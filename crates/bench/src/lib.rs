@@ -90,6 +90,12 @@ pub struct HotPathMeasure {
     /// (pool spill queues, demux overflow, batch accumulators, lease
     /// broker — see `amoeba_net::hot_lock_acquisitions` for scope).
     pub hot_locks: u64,
+    /// RPC retransmissions during the measured phase, as counted by
+    /// the network's metrics registry (0 while the registry is off).
+    pub retransmits: u64,
+    /// Transactions that ran out of attempts during the measured
+    /// phase, as counted by the metrics registry (0 while it is off).
+    pub trans_timeouts: u64,
 }
 
 impl HotPathMeasure {
@@ -119,6 +125,49 @@ impl HotPathMeasure {
     }
 }
 
+/// Runs `ops` operations' worth of `run` as the measured phase of a
+/// hot-path leg on `net`, diffing `pool`'s allocation and lock
+/// counters, the network's hot-path counters and — while its metrics
+/// registry is enabled — its retransmission and timeout counters.
+pub fn measure_hot_path(
+    net: &Network,
+    pool: &amoeba_net::BufPool,
+    ops: usize,
+    run: impl FnOnce(),
+) -> HotPathMeasure {
+    let metrics = net.obs().metrics();
+    let rpc0 = metrics.map(|m| m.snapshot());
+    let allocs0 = pool.fresh_allocs();
+    let takes0 = pool.takes();
+    let locks0 = pool.lock_acquisitions();
+    let hot0 = net.hot_path();
+    let t0 = std::time::Instant::now();
+    run();
+    let elapsed = t0.elapsed();
+    let hot = net.hot_path() - hot0;
+    let (retransmits, trans_timeouts) = match (metrics, rpc0) {
+        (Some(m), Some(rpc0)) => {
+            let rpc = m.snapshot();
+            (
+                rpc.retransmits - rpc0.retransmits,
+                rpc.trans_timeouts - rpc0.trans_timeouts,
+            )
+        }
+        _ => (0, 0),
+    };
+    HotPathMeasure {
+        ops: ops as u64,
+        elapsed,
+        fresh_allocs: pool.fresh_allocs() - allocs0,
+        pool_takes: pool.takes() - takes0,
+        oneway_evals: hot.oneway_evals,
+        frames: hot.frames_sent,
+        hot_locks: pool.lock_acquisitions() - locks0,
+        retransmits,
+        trans_timeouts,
+    }
+}
+
 /// The steady-state §3.6 metered-create workload with **every machine
 /// behind an F-box**, instrumented for per-operation hot-path cost.
 ///
@@ -126,56 +175,26 @@ impl HotPathMeasure {
 /// client), and the hammering client — share one
 /// [`BufPool`](amoeba_net::BufPool) handle, so `fresh_allocs` is the
 /// whole fleet's codec allocation count, race-free even when other
-/// tests run in the same process. `legacy = true` runs the pre-PR
-/// codec (no buffer pooling, fresh random reply ports, uncached
-/// F-boxes); `legacy = false` runs the zero-copy fast path. The wire
-/// bytes are identical either way, which is the point: the comparison
-/// isolates codec cost.
+/// tests run in the same process.
 ///
 /// `warmup` operations run before counters are snapshotted so pools
 /// and memo tables reach steady state; `creates` operations are then
 /// measured. Shared by the `hot_path` bench and the acceptance gates
 /// in `tests/scale.rs`.
-pub fn hot_path_round(
-    net: &Network,
-    legacy: bool,
-    warmup: usize,
-    creates: usize,
-) -> HotPathMeasure {
-    // One pool handle for the whole fleet (disabled = the baseline that
-    // allocates on every take, but still counts).
-    let codec = if legacy {
-        amoeba_rpc::CodecConfig::legacy()
-    } else {
-        amoeba_rpc::CodecConfig::default()
-    };
-    let pool = codec.pool.clone();
-    let fleet = HotPathFleet::build(net, codec, legacy);
+pub fn hot_path_round(net: &Network, warmup: usize, creates: usize) -> HotPathMeasure {
+    // One pool handle for the whole fleet.
+    let pool = amoeba_net::BufPool::new();
+    let fleet = HotPathFleet::build(net, pool.clone());
     net.set_latency(METERED_HOP_LATENCY);
     for _ in 0..warmup {
         fleet.one_op();
     }
 
-    let allocs0 = pool.fresh_allocs();
-    let takes0 = pool.takes();
-    let locks0 = pool.lock_acquisitions();
-    let hot0 = net.hot_path();
-    let t0 = std::time::Instant::now();
-    for _ in 0..creates {
-        fleet.one_op();
-    }
-    let elapsed = t0.elapsed();
-    let hot = net.hot_path() - hot0;
-    let measure = HotPathMeasure {
-        ops: creates as u64,
-        elapsed,
-        fresh_allocs: pool.fresh_allocs() - allocs0,
-        pool_takes: pool.takes() - takes0,
-        oneway_evals: hot.oneway_evals,
-        frames: hot.frames_sent,
-        hot_locks: pool.lock_acquisitions() - locks0,
-    };
-
+    let measure = measure_hot_path(net, &pool, creates, || {
+        for _ in 0..creates {
+            fleet.one_op();
+        }
+    });
     net.set_latency(Duration::ZERO);
     fleet.stop();
     measure
@@ -199,10 +218,9 @@ impl std::fmt::Debug for HotPathFleet {
 }
 
 impl HotPathFleet {
-    /// Stands the fleet up on `net` with every party sharing `codec`'s
-    /// pool. `legacy` selects uncached F-boxes (the pre-PR baseline);
-    /// otherwise the parties run behind memoized hardware F-boxes.
-    pub fn build(net: &Network, codec: amoeba_rpc::CodecConfig, legacy: bool) -> HotPathFleet {
+    /// Stands the fleet up on `net`, every party behind a hardware
+    /// F-box and sharing `pool`.
+    pub fn build(net: &Network, pool: amoeba_net::BufPool) -> HotPathFleet {
         use amoeba_bank::{BankClient, BankServer, Currency, CurrencyId};
         use amoeba_cap::schemes::SchemeKind as Kind;
         use amoeba_crypto::oneway::ShaOneWay;
@@ -217,29 +235,24 @@ impl HotPathFleet {
             timeout: Duration::from_secs(30),
             attempts: 2,
         };
-        let attach_fbox = |net: &Network| -> Endpoint {
-            if legacy {
-                net.attach(Arc::new(FBox::uncached(ShaOneWay)))
-            } else {
-                net.attach(Arc::new(FBox::hardware(ShaOneWay)))
-            }
-        };
+        let attach_fbox =
+            |net: &Network| -> Endpoint { net.attach(Arc::new(FBox::hardware(ShaOneWay))) };
         let mut rng = bench_rng();
 
         let (bank_server, treasury_rx) =
             BankServer::new(vec![Currency::convertible("dollar", 1)], Kind::OneWay);
-        let bank_runner = ServiceRunner::spawn_workers_with_codec(
+        let bank_runner = ServiceRunner::spawn_workers_with_pool(
             attach_fbox(net),
             Port::random(&mut rng),
             bank_server,
             1,
-            codec.clone(),
+            pool.clone(),
         );
         let bank_port = bank_runner.put_port();
         let treasury = treasury_rx.recv().expect("treasury cap");
         let svc_client = |net: &Network| {
             ServiceClient::with_client(
-                Client::with_config(attach_fbox(net), patient).with_codec(codec.clone()),
+                Client::with_config(attach_fbox(net), patient).with_pool(pool.clone()),
             )
         };
         let bank = BankClient::with_service(svc_client(net), bank_port);
@@ -248,7 +261,7 @@ impl HotPathFleet {
         bank.mint(&treasury, &wallet, CurrencyId(0), 1_000_000)
             .expect("mint");
 
-        let runner = ServiceRunner::spawn_workers_with_codec(
+        let runner = ServiceRunner::spawn_workers_with_pool(
             attach_fbox(net),
             Port::random(&mut rng),
             FlatFsServer::with_quota(
@@ -261,7 +274,7 @@ impl HotPathFleet {
                 },
             ),
             2,
-            codec.clone(),
+            pool.clone(),
         );
         let fs = FlatFsClient::with_service(svc_client(net), runner.put_port());
         HotPathFleet {
@@ -302,17 +315,16 @@ impl HotPathFleet {
 pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotPathMeasure {
     use std::sync::{Arc, Barrier};
 
-    let codec = amoeba_rpc::CodecConfig::default();
-    let pool = codec.pool.clone();
+    let pool = amoeba_net::BufPool::new();
     // Three rendezvous: fleets warm → counters snapshotted, go → done.
     let barrier = Arc::new(Barrier::new(threads + 1));
     let handles: Vec<_> = (0..threads)
         .map(|_| {
-            let codec = codec.clone();
+            let pool = pool.clone();
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 let net = Network::new_virtual();
-                let fleet = HotPathFleet::build(&net, codec, false);
+                let fleet = HotPathFleet::build(&net, pool);
                 net.set_latency(METERED_HOP_LATENCY);
                 for _ in 0..warmup {
                     fleet.one_op();
@@ -358,6 +370,8 @@ pub fn contended_hot_path(threads: usize, warmup: usize, creates: usize) -> HotP
         oneway_evals,
         frames,
         hot_locks,
+        retransmits: 0,
+        trans_timeouts: 0,
     }
 }
 

@@ -1,11 +1,23 @@
-//! Elastic placement: a sharded group whose shard→replica map can
-//! change at runtime via live migration.
+//! Sharded placement: each replica owns a set of object-table shards,
+//! and the shard index in a capability's object number routes to its
+//! owner — with a shard→replica map that can change at runtime via
+//! live migration.
 //!
-//! [`ShardedCluster`](crate::ShardedCluster) freezes placement at
-//! spawn: shard `s` lives on replica `s % n` forever, so a skewed
-//! workload melts one machine while the rest idle. An
-//! [`ElasticCluster`] starts from the same static assignment but keeps
-//! the map *mutable*: [`migrate`](ElasticCluster::migrate) streams one
+//! A stateful service cannot be served by "any replica" — an object
+//! lives where it was created. The [`ObjectTable`] already stamps a
+//! shard index into the low bits of every object number (the
+//! lock-striping key); here that index becomes the **placement key**:
+//! replica `i` of an `n`-way group starts out minting only objects
+//! whose `shard % n == i` (via [`Service::bind_shard_range`]), so any
+//! capability names its owning replica. The directory server stores
+//! one locator capability per shard (§3.4: "the directory server …
+//! returns the capability" — clients walk names, not machines), and
+//! the client routes every call by the capability's shard.
+//!
+//! A static assignment melts one machine under a skewed workload while
+//! the rest idle, so an [`ElasticCluster`] keeps the map *mutable*
+//! (a group that never migrates is simply a static sharded placement):
+//! [`migrate`](ElasticCluster::migrate) streams one
 //! shard to a new owner (the cutover protocol of
 //! [`crate::migrate`]), [`drain`](ElasticCluster::drain) empties a
 //! replica for maintenance, and the per-shard directory entries are
@@ -30,23 +42,40 @@
 //! because it has not been republished yet, the shard is marked and
 //! later relays on it skip the lookup until the next error-driven
 //! [`refresh`](ElasticClient::refresh) clears the mark.
+//!
+//! [`ObjectTable`]: amoeba_server::ObjectTable
+//! [`Service::bind_shard_range`]: amoeba_server::Service::bind_shard_range
 
 use crate::migrate::{migrate_shard, MigrateError, MigrationStats};
-use crate::range_capability;
-use amoeba_cap::Capability;
+use amoeba_cap::{Capability, ObjectNum, Rights};
 use amoeba_dirsvr::DirClient;
-use amoeba_net::{Network, Port};
+use amoeba_net::{BufPool, Network, Port};
 use amoeba_rpc::Client;
 use amoeba_server::proto::Status;
 use amoeba_server::DEFAULT_SHARDS;
 use amoeba_server::{placement_range, ClientError, Service, ServiceClient, ServiceRunner};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 fn shard_entry_name(service: &str, shard: usize) -> String {
     format!("{service}.shard-{shard}")
+}
+
+/// The capability a directory stores for one shard: it names the
+/// shard owner's put-port and nothing else (object 0, no rights, no
+/// secret). It is a *locator*, not an authorisation — the real
+/// per-object capabilities are minted and validated by the owner; this
+/// entry only tells clients where requests for the shard go, exactly
+/// like the per-server directory entries of §3.4.
+fn shard_locator(port: Port) -> Capability {
+    Capability::new(
+        port,
+        ObjectNum::new(0).expect("zero is a valid object number"),
+        Rights::NONE,
+        0,
+    )
 }
 
 fn shard_of(cap: &Capability) -> usize {
@@ -75,9 +104,7 @@ impl std::fmt::Debug for ElasticCluster {
 impl ElasticCluster {
     /// Spawns `replicas` instances (one per fresh open-interface
     /// machine, `workers` dispatch workers each); replica `i` starts
-    /// owning the shards with `shard % replicas == i`, exactly like a
-    /// [`ShardedCluster`](crate::ShardedCluster) — the difference is
-    /// what happens next.
+    /// owning the shards with `shard % replicas == i`.
     ///
     /// # Panics
     /// Panics if `replicas` is zero or exceeds [`DEFAULT_SHARDS`].
@@ -85,6 +112,22 @@ impl ElasticCluster {
         net: &Network,
         replicas: usize,
         workers: usize,
+        factory: impl FnMut(usize) -> S,
+    ) -> ElasticCluster {
+        Self::spawn_open_with_pool(net, replicas, workers, BufPool::new(), factory)
+    }
+
+    /// [`spawn_open`](Self::spawn_open) with every replica's bound port
+    /// encoding into `pool` — share one handle to meter the whole
+    /// group's frame allocations.
+    ///
+    /// # Panics
+    /// As for [`spawn_open`](Self::spawn_open).
+    pub fn spawn_open_with_pool<S: Service>(
+        net: &Network,
+        replicas: usize,
+        workers: usize,
+        pool: BufPool,
         mut factory: impl FnMut(usize) -> S,
     ) -> ElasticCluster {
         assert!(
@@ -97,12 +140,12 @@ impl ElasticCluster {
                 let mut service = factory(i);
                 service.bind_shard_range(i, replicas);
                 let get_port = Port::random(&mut rng);
-                ServiceRunner::spawn_workers_with_codec(
+                ServiceRunner::spawn_workers_with_pool(
                     net.attach_open(),
                     get_port,
                     service,
                     workers,
-                    amoeba_rpc::CodecConfig::default(),
+                    pool.clone(),
                 )
             })
             .collect();
@@ -170,7 +213,7 @@ impl ElasticCluster {
         service: &str,
     ) -> Result<(), ClientError> {
         for (s, port) in self.shard_ports().into_iter().enumerate() {
-            dirs.enter(dir, &shard_entry_name(service, s), &range_capability(port))?;
+            dirs.enter(dir, &shard_entry_name(service, s), &shard_locator(port))?;
         }
         Ok(())
     }
@@ -195,7 +238,7 @@ impl ElasticCluster {
             Ok(()) | Err(ClientError::Status(Status::NotFound)) => {}
             Err(e) => return Err(e),
         }
-        dirs.enter(dir, &name, &range_capability(port))
+        dirs.enter(dir, &name, &shard_locator(port))
     }
 
     /// Live-migrates `shard` to replica `to`, blocking until the
@@ -314,19 +357,39 @@ impl std::fmt::Debug for ElasticClient {
 
 impl ElasticClient {
     /// Bootstraps the shard map from the `"<service>.shard-<s>"`
-    /// entries an [`ElasticCluster::publish`] stored under `dir`.
+    /// entries an [`ElasticCluster::publish`] stored under `dir`,
+    /// calling through a fresh open-interface [`ServiceClient`].
     ///
     /// # Errors
     /// [`ClientError`] from the directory lookups (all
-    /// [`DEFAULT_SHARDS`] entries must exist).
+    /// [`DEFAULT_SHARDS`] entries must exist; an unpublished service
+    /// name is `NotFound`).
     pub fn from_directory(
         net: &Network,
         dirs: DirClient,
         dir: &Capability,
         service: &str,
     ) -> Result<ElasticClient, ClientError> {
+        Self::with_service(ServiceClient::open(net), dirs, dir, service)
+    }
+
+    /// [`from_directory`](Self::from_directory) calling through `svc`
+    /// — a patient or pool-sharing client, for instance.
+    ///
+    /// # Errors
+    /// As for [`from_directory`](Self::from_directory).
+    pub fn with_service(
+        svc: ServiceClient,
+        dirs: DirClient,
+        dir: &Capability,
+        service: &str,
+    ) -> Result<ElasticClient, ClientError> {
+        // Start each client's create cursor at a random shard: a fleet
+        // of clients built together would otherwise march over the
+        // replicas in lockstep, convoying on one replica at a time.
+        let start = rand::rngs::StdRng::from_entropy().next_u64() as usize % DEFAULT_SHARDS;
         let client = ElasticClient {
-            svc: ServiceClient::open(net),
+            svc,
             dirs,
             dir: *dir,
             service: service.to_string(),
@@ -334,7 +397,7 @@ impl ElasticClient {
             relay_marks: (0..DEFAULT_SHARDS)
                 .map(|_| AtomicBool::new(false))
                 .collect(),
-            next_shard: AtomicUsize::new(0),
+            next_shard: AtomicUsize::new(start),
         };
         client.refresh()?;
         Ok(client)
@@ -562,22 +625,28 @@ mod tests {
         cluster.stop();
     }
 
-    /// A directory, a published 2-replica cluster, and a warm elastic
-    /// client holding one written object per shard.
-    struct WarmRig {
+    /// A directory, a published `replicas`-way cluster, and an elastic
+    /// client that knows nothing but the directory.
+    struct Rig {
         dir_runner: ServiceRunner,
         dirs: DirClient,
         root: Capability,
         cluster: ElasticCluster,
         client: ElasticClient,
-        caps: Vec<Capability>,
     }
 
-    fn warm_rig(net: &Network) -> WarmRig {
+    impl Rig {
+        fn stop(self) {
+            self.cluster.stop();
+            self.dir_runner.stop();
+        }
+    }
+
+    fn published_fs(net: &Network, replicas: usize) -> Rig {
         let dir_runner = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::OneWay));
         let dirs = DirClient::open(net, dir_runner.put_port());
         let root = dirs.create_dir().unwrap();
-        let cluster = elastic_fs(net, 2);
+        let cluster = elastic_fs(net, replicas);
         cluster.publish(&dirs, &root, "fs").unwrap();
         let client = ElasticClient::from_directory(
             net,
@@ -586,24 +655,23 @@ mod tests {
             "fs",
         )
         .unwrap();
-        let caps: Vec<Capability> = (0..DEFAULT_SHARDS)
-            .map(|_| {
-                let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
-                wire::Reader::new(&body).cap().unwrap()
-            })
-            .collect();
-        for cap in &caps {
-            let data = wire::Writer::new().u64(0).bytes(b"warm").finish();
-            client.call(cap, ops::WRITE, data).unwrap();
-        }
-        WarmRig {
+        Rig {
             dir_runner,
             dirs,
             root,
             cluster,
             client,
-            caps,
         }
+    }
+
+    fn create(client: &ElasticClient) -> Capability {
+        let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
+        wire::Reader::new(&body).cap().unwrap()
+    }
+
+    fn elastic_write(client: &ElasticClient, cap: &Capability, data: &[u8]) {
+        let params = wire::Writer::new().u64(0).bytes(data).finish();
+        client.call(cap, ops::WRITE, params).unwrap();
     }
 
     fn elastic_read(client: &ElasticClient, cap: &Capability) -> Bytes {
@@ -612,18 +680,161 @@ mod tests {
             .unwrap()
     }
 
+    /// A published 2-replica rig whose client holds one written object
+    /// per shard.
+    fn warm_rig(net: &Network) -> (Rig, Vec<Capability>) {
+        let rig = published_fs(net, 2);
+        let caps: Vec<Capability> = (0..DEFAULT_SHARDS).map(|_| create(&rig.client)).collect();
+        for cap in &caps {
+            elastic_write(&rig.client, cap, b"warm");
+        }
+        (rig, caps)
+    }
+
+    #[test]
+    fn placement_key_routes_back_to_the_minting_replica() {
+        let net = Network::new();
+        let rig = published_fs(&net, 3);
+        for _ in 0..12 {
+            let cap = create(&rig.client);
+            // The replica that minted the capability stamped its own
+            // put-port; the placement key must route right back to it.
+            assert_eq!(
+                rig.client.port_for(&cap),
+                cap.port,
+                "object {} routed to the wrong replica",
+                cap.object
+            );
+        }
+        rig.stop();
+    }
+
+    #[test]
+    fn creates_spread_over_every_replica() {
+        let net = Network::new();
+        let rig = published_fs(&net, 4);
+        let used: std::collections::HashSet<Port> = (0..DEFAULT_SHARDS)
+            .map(|_| create(&rig.client).port)
+            .collect();
+        assert_eq!(used.len(), 4, "round-robin must use every replica");
+        rig.stop();
+    }
+
+    #[test]
+    fn create_cursors_start_at_random_shards() {
+        // Clients built together must not march over the replicas in
+        // lockstep: their first creates land on different shards.
+        let net = Network::new();
+        let rig = published_fs(&net, 2);
+        let firsts: std::collections::HashSet<usize> = (0..8)
+            .map(|_| {
+                let client = ElasticClient::from_directory(
+                    &net,
+                    DirClient::open(&net, rig.dir_runner.put_port()),
+                    &rig.root,
+                    "fs",
+                )
+                .unwrap();
+                shard_of(&create(&client))
+            })
+            .collect();
+        assert!(firsts.len() > 1, "every cursor started at one shard");
+        rig.stop();
+    }
+
+    #[test]
+    fn data_lives_and_validates_on_its_owning_replica() {
+        let net = Network::new();
+        let rig = published_fs(&net, 3);
+        let client = &rig.client;
+        let caps: Vec<Capability> = (0..9).map(|_| create(client)).collect();
+        for (i, cap) in caps.iter().enumerate() {
+            elastic_write(client, cap, format!("file-{i}").as_bytes());
+        }
+        for (i, cap) in caps.iter().enumerate() {
+            assert_eq!(
+                &elastic_read(client, cap)[..],
+                format!("file-{i}").as_bytes()
+            );
+        }
+        // The standard RESTRICT routes by placement too.
+        let keep = wire::Writer::new().u32(Rights::READ.bits() as u32).finish();
+        let body = client
+            .call(&caps[0], amoeba_server::proto::cmd::STD_RESTRICT, keep)
+            .unwrap();
+        let ro = wire::Reader::new(&body).cap().unwrap();
+        assert!(matches!(
+            client.call(
+                &ro,
+                ops::WRITE,
+                wire::Writer::new().u64(0).bytes(b"x").finish()
+            ),
+            Err(ClientError::Status(Status::RightsViolation))
+        ));
+        rig.stop();
+    }
+
+    #[test]
+    fn foreign_replica_rejects_a_misrouted_capability() {
+        // Routing a capability to a replica that never owned its shard
+        // must fail closed: that replica has no such object.
+        let net = Network::new();
+        let rig = published_fs(&net, 2);
+        let cap = create(&rig.client);
+        let owner = rig.cluster.owners()[shard_of(&cap)];
+        let err = rig
+            .client
+            .service()
+            .call_at(
+                rig.cluster.replica_port(1 - owner),
+                &cap,
+                ops::READ,
+                wire::Writer::new().u64(0).u32(1).finish(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClientError::Status(Status::NoSuchObject) | ClientError::Status(Status::Forged)
+            ),
+            "foreign replica must reject: {err:?}"
+        );
+        rig.stop();
+    }
+
+    #[test]
+    fn directory_bootstraps_the_shard_map_and_unknown_names_are_not_found() {
+        let net = Network::new();
+        let rig = published_fs(&net, 3);
+        // The bootstrapped map is the cluster's, shard for shard.
+        let probe: Vec<Capability> = (0..DEFAULT_SHARDS).map(|_| create(&rig.client)).collect();
+        let ports = rig.cluster.shard_ports();
+        for cap in &probe {
+            assert_eq!(rig.client.port_for(cap), ports[shard_of(cap)]);
+            assert_eq!(rig.client.port_for(cap), cap.port);
+        }
+        let ghost = ElasticClient::with_service(
+            ServiceClient::open(&net),
+            DirClient::open(&net, rig.dir_runner.put_port()),
+            &rig.root,
+            "ghost",
+        );
+        assert!(matches!(ghost, Err(ClientError::Status(Status::NotFound))));
+        rig.stop();
+    }
+
     #[test]
     fn warm_elastic_client_leaves_the_forward_after_one_relayed_call() {
         let net = Network::new();
         net.obs().enable();
-        let WarmRig {
-            dir_runner,
+        let (rig, caps) = warm_rig(&net);
+        let Rig {
             dirs,
             root,
             cluster,
             client,
-            caps,
-        } = warm_rig(&net);
+            ..
+        } = &rig;
         // Move two of replica 0's shards, then republish their entries.
         let moved: Vec<usize> = (0..DEFAULT_SHARDS)
             .filter(|&s| cluster.owners()[s] == 0)
@@ -632,13 +843,13 @@ mod tests {
         let rpc = Client::new(net.attach_open());
         for &shard in &moved {
             cluster.migrate(&rpc, shard, 1).unwrap();
-            cluster.republish(&dirs, &root, "fs", shard).unwrap();
+            cluster.republish(dirs, root, "fs", shard).unwrap();
         }
 
         let m = net.obs().metrics().unwrap();
         let before = m.snapshot();
         for i in 0..100 {
-            assert_eq!(&elastic_read(&client, &caps[i % caps.len()])[..], b"warm");
+            assert_eq!(&elastic_read(client, &caps[i % caps.len()])[..], b"warm");
         }
         let after = m.snapshot();
         assert_eq!(after.retransmits - before.retransmits, 0);
@@ -653,21 +864,17 @@ mod tests {
         for cap in caps.iter().filter(|c| moved.contains(&shard_of(c))) {
             assert_eq!(client.port_for(cap), cluster.replica_port(1));
         }
-        cluster.stop();
-        dir_runner.stop();
+        rig.stop();
     }
 
     #[test]
     fn unpublished_move_costs_one_lookup_until_the_next_refresh() {
         let net = Network::new();
         net.obs().enable();
-        let WarmRig {
-            dir_runner,
-            cluster,
-            client,
-            caps,
-            ..
-        } = warm_rig(&net);
+        let (rig, caps) = warm_rig(&net);
+        let Rig {
+            cluster, client, ..
+        } = &rig;
         let shard = shard_of(&caps[0]);
         let from = cluster.owners()[shard];
         let rpc = Client::new(net.attach_open());
@@ -677,7 +884,7 @@ mod tests {
         let m = net.obs().metrics().unwrap();
         let before = m.snapshot();
         for _ in 0..20 {
-            assert_eq!(&elastic_read(&client, &caps[0])[..], b"warm");
+            assert_eq!(&elastic_read(client, &caps[0])[..], b"warm");
         }
         let after = m.snapshot();
         assert_eq!(after.requests_forwarded - before.requests_forwarded, 20);
@@ -686,45 +893,25 @@ mod tests {
         assert_eq!(client.port_for(&caps[0]), cluster.replica_port(from));
         // A full refresh clears the mark: the next relay looks again.
         client.refresh().unwrap();
-        elastic_read(&client, &caps[0]);
+        elastic_read(client, &caps[0]);
         assert_eq!(m.snapshot().shard_refreshes - after.shard_refreshes, 1);
-        cluster.stop();
-        dir_runner.stop();
+        rig.stop();
     }
 
     #[test]
     fn drain_republish_and_stale_clients_recover() {
         let net = Network::new();
-        let dir_runner = ServiceRunner::spawn_open(&net, DirServer::new(SchemeKind::OneWay));
-        let dirs = DirClient::open(&net, dir_runner.put_port());
-        let root = dirs.create_dir().unwrap();
-        let cluster = elastic_fs(&net, 3);
-        cluster.publish(&dirs, &root, "fs").unwrap();
-
-        let client = ElasticClient::from_directory(
-            &net,
-            DirClient::open(&net, dir_runner.put_port()),
-            &root,
-            "fs",
-        )
-        .unwrap();
-        let caps: Vec<Capability> = (0..9)
-            .map(|_| {
-                let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
-                wire::Reader::new(&body).cap().unwrap()
-            })
-            .collect();
+        let rig = published_fs(&net, 3);
+        let Rig {
+            dirs,
+            root,
+            cluster,
+            client,
+            ..
+        } = &rig;
+        let caps: Vec<Capability> = (0..9).map(|_| create(client)).collect();
         for (i, cap) in caps.iter().enumerate() {
-            client
-                .call(
-                    cap,
-                    ops::WRITE,
-                    wire::Writer::new()
-                        .u64(0)
-                        .bytes(format!("file-{i}").as_bytes())
-                        .finish(),
-                )
-                .unwrap();
+            elastic_write(client, cap, format!("file-{i}").as_bytes());
         }
 
         let rpc = Client::new(net.attach_open());
@@ -733,7 +920,7 @@ mod tests {
         let owners = cluster.owners();
         assert!(owners.iter().all(|&r| r != 0), "replica 0 fully drained");
         for &(shard, _) in &moves {
-            cluster.republish(&dirs, &root, "fs", shard).unwrap();
+            cluster.republish(dirs, root, "fs", shard).unwrap();
         }
 
         // The drained replica refuses to mint.
@@ -747,18 +934,16 @@ mod tests {
         // forwarding, creates hit `Unsupported` once, refresh, and
         // succeed on the new owner.
         for (i, cap) in caps.iter().enumerate() {
-            let body = client
-                .call(cap, ops::READ, wire::Writer::new().u64(0).u32(32).finish())
-                .unwrap();
-            assert_eq!(&body[..], format!("file-{i}").as_bytes());
+            assert_eq!(
+                &elastic_read(client, cap)[..],
+                format!("file-{i}").as_bytes()
+            );
         }
         for _ in 0..6 {
-            let body = client.call_create(ops::CREATE, Bytes::new()).unwrap();
-            let cap = wire::Reader::new(&body).cap().unwrap();
+            let cap = create(client);
             assert_ne!(cap.port, cluster.replica_port(0), "drained replica minted");
         }
-        cluster.stop();
-        dir_runner.stop();
+        rig.stop();
     }
 
     #[test]

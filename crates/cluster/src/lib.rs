@@ -19,31 +19,28 @@
 //!   and the frame is machine-targeted at it. A replica that stops
 //!   answering is invalidated on timeout and the call transparently
 //!   retries the next replica — callers see retries, not errors.
-//! * **Sharded** ([`ShardedCluster`] + [`ShardedClient`]) — stateful
-//!   services whose objects live exactly where they were created. The
-//!   [`ObjectTable`](amoeba_server::ObjectTable) shard index (the low
-//!   bits of every object number) becomes the **placement key**: each
-//!   replica mints only object numbers in its owned shard range, so
-//!   any capability names its owning replica. Creations spread
-//!   round-robin; every later operation routes by the capability's
-//!   placement range. The per-range capabilities are stored in a
-//!   directory exactly as §3.4 prescribes, so clients bootstrap the
-//!   range map with ordinary directory lookups.
+//! * **Elastic-sharded** ([`ElasticCluster`] + [`ElasticClient`]) —
+//!   stateful services whose objects live exactly where they were
+//!   created. The [`ObjectTable`](amoeba_server::ObjectTable) shard
+//!   index (the low bits of every object number) becomes the
+//!   **placement key**: each replica mints only object numbers in the
+//!   shards it owns, so any capability names its owning replica.
+//!   Creations spread round-robin; every later operation routes by the
+//!   capability's shard. One locator capability per shard is stored in
+//!   a directory exactly as §3.4 prescribes, so clients bootstrap the
+//!   shard map with ordinary directory lookups. The shard→replica map
+//!   is mutable: [`migrate`] streams a shard's objects and secrets
+//!   over the TRANSFER frames, then flips ownership with the old owner
+//!   forwarding stale traffic, and a load-driven [`Rebalancer`] decides
+//!   which shards should move. [`ElasticClient`] refreshes its shard
+//!   map from the directory when a call hits a drained replica, and
+//!   re-reads one shard's entry when the old owner relayed a call. A
+//!   group that never migrates is a static sharded placement.
 //!
 //! A third, finer-grained shape handles hot *directories* rather than
 //! hot services: [`ShardedDir`] hashes the entries of one logical
 //! directory across several directory-server replicas, with fan-out
 //! operations batched one frame per replica.
-//!
-//! Static sharding melts under skewed traffic, so the sharded shape
-//! also comes *elastic*: [`ElasticCluster`] keeps the shard→replica
-//! map mutable, moving whole shards between replicas with **live
-//! migration** ([`migrate`] streams a shard's objects and secrets over
-//! the TRANSFER frames, then flips ownership with the old owner
-//! forwarding stale traffic), and a load-driven [`Rebalancer`] decides
-//! which shards should move. [`ElasticClient`] refreshes its shard map
-//! from the directory when a call hits a drained replica, and re-reads
-//! one shard's entry when the old owner relayed a call.
 //!
 //! The discovery machinery lives in `amoeba-rpc` (`Locator` replica
 //! sets, `Matchmaker` registration, the cluster wire frames of
@@ -59,7 +56,6 @@ pub mod migrate;
 mod rebalance;
 mod registry;
 mod replicated;
-mod sharded;
 mod sim;
 
 pub use amoeba_rpc::{PlacementPolicy, Replica};
@@ -69,5 +65,4 @@ pub use migrate::{migrate_shard, MigrateError, MigrationStats, ShardMigration};
 pub use rebalance::Rebalancer;
 pub use registry::ClusterRegistry;
 pub use replicated::{ClusterClient, HealthProber, ServiceCluster};
-pub use sharded::{range_capability, ShardedClient, ShardedCluster};
 pub use sim::SimReplicaSet;

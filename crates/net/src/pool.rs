@@ -59,10 +59,7 @@
 //! instance, plus every acquisition of its spill locks via a
 //! [`LockMeter`] shared with the rest of the fleet's hot mutexes —
 //! race-free accounting for benchmarks and acceptance gates even when
-//! unrelated tests run concurrently in the same process. A pool built
-//! with [`BufPool::disabled`] never recycles (every take is a fresh
-//! allocation) but still counts, which is exactly the pre-pool
-//! baseline the `hot_path` bench compares against. The metric is
+//! unrelated tests run concurrently in the same process. The metric is
 //! **backing storage**: each take→freeze→retire cycle still creates
 //! and frees one small `Arc` control block for shared ownership of the
 //! payload — bounded, size-independent, and deliberately outside the
@@ -128,8 +125,6 @@ thread_local! {
 
 #[derive(Debug)]
 struct PoolInner {
-    /// `false` for the measurement baseline: take() always allocates.
-    enabled: bool,
     /// Identity tag for the thread-local caches.
     id: u64,
     /// Reclaimed storage, ready to hand out (shared spill).
@@ -159,27 +154,11 @@ impl Default for BufPool {
 }
 
 impl BufPool {
-    /// An enabled pool (the production default).
+    /// An empty pool with its own lock meter.
     pub fn new() -> BufPool {
-        Self::with_enabled(true)
-    }
-
-    /// A pass-through pool that never recycles: every [`take`] is a
-    /// fresh allocation and [`retire`] drops its argument. This is the
-    /// pre-pool codec, kept callable so benchmarks and acceptance gates
-    /// can measure exactly what pooling buys.
-    ///
-    /// [`take`]: BufPool::take
-    /// [`retire`]: BufPool::retire
-    pub fn disabled() -> BufPool {
-        Self::with_enabled(false)
-    }
-
-    fn with_enabled(enabled: bool) -> BufPool {
         let meter = LockMeter::new();
         BufPool {
             inner: Arc::new(PoolInner {
-                enabled,
                 id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
                 free: HotMutex::with_meter(Vec::new(), meter.clone()),
                 retired: HotMutex::with_meter(VecDeque::new(), meter.clone()),
@@ -189,11 +168,6 @@ impl BufPool {
                 meter,
             }),
         }
-    }
-
-    /// Whether this pool actually recycles buffers.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
     }
 
     /// The lock meter every hot mutex of this pool's fleet shares.
@@ -234,41 +208,27 @@ impl BufPool {
     /// the caches run dry.
     pub fn take(&self) -> BytesMut {
         self.inner.takes.fetch_add(1, Ordering::Relaxed);
-        if self.inner.enabled {
-            let local = self.with_cache(|cache| {
-                if let Some(storage) = cache.free.pop() {
-                    return Some(storage);
-                }
-                // Sweep this thread's retired frames for ones whose
-                // receivers have finished.
-                let parked = std::mem::take(&mut cache.retired);
-                for frame in parked {
-                    match frame.try_reclaim() {
-                        Ok(storage) => {
-                            if storage.capacity() <= MAX_RETAINED_CAPACITY
-                                && cache.free.len() < TL_MAX_FREE
-                            {
-                                cache.free.push(storage);
-                            }
-                        }
-                        Err(still_shared) => cache.retired.push(still_shared),
-                    }
-                }
-                cache.free.pop()
-            });
-            if let Some(storage) = local {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return BytesMut::from_recycled(storage);
+        let local = self.with_cache(|cache| {
+            if let Some(storage) = cache.free.pop() {
+                return Some(storage);
             }
-            if let Some(storage) = self.inner.free.lock().pop() {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return BytesMut::from_recycled(storage);
-            }
-            self.sweep_shared_retired();
-            if let Some(storage) = self.inner.free.lock().pop() {
-                self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                return BytesMut::from_recycled(storage);
-            }
+            // Sweep this thread's retired frames for ones whose
+            // receivers have finished.
+            Self::sweep_local(cache);
+            cache.free.pop()
+        });
+        if let Some(storage) = local {
+            self.inner.reused.fetch_add(1, Ordering::Relaxed);
+            return BytesMut::from_recycled(storage);
+        }
+        if let Some(storage) = self.inner.free.lock().pop() {
+            self.inner.reused.fetch_add(1, Ordering::Relaxed);
+            return BytesMut::from_recycled(storage);
+        }
+        self.sweep_shared_retired();
+        if let Some(storage) = self.inner.free.lock().pop() {
+            self.inner.reused.fetch_add(1, Ordering::Relaxed);
+            return BytesMut::from_recycled(storage);
         }
         self.inner.fresh.fetch_add(1, Ordering::Relaxed);
         BytesMut::with_capacity(FRESH_CAPACITY)
@@ -283,7 +243,7 @@ impl BufPool {
     pub fn retire(&self, frame: Bytes) {
         // Static-backed buffers can never be reclaimed; parking them
         // would waste retired-queue slots on permanent misses.
-        if !self.inner.enabled || frame.is_empty() || frame.is_static() {
+        if frame.is_empty() || frame.is_static() {
             return;
         }
         match frame.try_reclaim() {
@@ -359,7 +319,7 @@ impl BufPool {
     /// them. Safe (just suboptimal) to call on frames this thread
     /// owns.
     pub fn release(&self, handle: Bytes) {
-        if !self.inner.enabled || handle.is_empty() || handle.is_static() {
+        if handle.is_empty() || handle.is_static() {
             return;
         }
         if let Ok(storage) = handle.try_reclaim() {
@@ -517,18 +477,6 @@ mod tests {
         pool.retire(frame); // the owner retires: now unique, reclaims
         let _b = pool.take();
         assert_eq!(pool.reuses(), 2, "owner-retired storage must reclaim");
-    }
-
-    #[test]
-    fn disabled_pool_always_allocates() {
-        let pool = BufPool::disabled();
-        for _ in 0..4 {
-            let frame = pool.take().freeze();
-            pool.retire(frame);
-        }
-        assert_eq!(pool.takes(), 4);
-        assert_eq!(pool.fresh_allocs(), 4);
-        assert_eq!(pool.reuses(), 0);
     }
 
     #[test]

@@ -141,62 +141,6 @@ impl Default for PipelineConfig {
     }
 }
 
-/// How the codec allocates and addresses on the hot path — shared by
-/// [`Client`] and [`ServerPort`](crate::ServerPort).
-///
-/// The default is the zero-copy fast path: wire frames are encoded into
-/// recycled [`BufPool`] buffers (steady-state sends allocate nothing)
-/// and a client reuses the reply ports of cleanly completed
-/// transactions instead of minting a fresh random port — which also
-/// lets an F-box's `F` memo table hit instead of hashing a
-/// never-seen-before port on every send. [`CodecConfig::legacy`] is the
-/// pre-pool behaviour, kept callable so the `hot_path` bench and the
-/// acceptance gates in `tests/scale.rs` can measure exactly what the
-/// fast path buys. Wire bytes are identical either way.
-#[derive(Debug, Clone)]
-pub struct CodecConfig {
-    /// The frame-buffer pool ([`BufPool::disabled`] for the
-    /// allocate-every-frame baseline). Share one handle across
-    /// cooperating parties to aggregate their allocation counters.
-    pub pool: BufPool,
-    /// Whether a client may reuse the private reply port of a
-    /// transaction that completed on its first transmission — and, as
-    /// the precondition that makes reuse sound, whether it may keep the
-    /// §2.1 kernel cache of `(put-port, machine)` answers that turns
-    /// untargeted calls into machine-targeted ones.
-    ///
-    /// Only a **machine-targeted** transaction can prove its reply port
-    /// quiescent: an untargeted request is *offered* to every machine
-    /// claiming the destination port, so N replicas produce N replies
-    /// and N−1 stragglers may still be in flight when the transaction
-    /// completes. Ports of untargeted, timed-out, retransmitted or
-    /// abandoned transactions are therefore never reused (a straggler
-    /// reply could alias a later transaction), which keeps recycling
-    /// invisible to correctness — it only removes the per-transaction
-    /// random-port mint and its one-way-function evaluations.
-    pub recycle_reply_ports: bool,
-}
-
-impl Default for CodecConfig {
-    fn default() -> Self {
-        CodecConfig {
-            pool: BufPool::new(),
-            recycle_reply_ports: true,
-        }
-    }
-}
-
-impl CodecConfig {
-    /// The pre-pool codec: a fresh allocation per frame, a fresh random
-    /// reply port per transaction. The measurement baseline.
-    pub fn legacy() -> Self {
-        CodecConfig {
-            pool: BufPool::disabled(),
-            recycle_reply_ports: false,
-        }
-    }
-}
-
 /// Upper bound on recycled reply-port bindings a client parks between
 /// transactions; beyond it ports are released normally. Bounds both the
 /// claim table and the concurrency level that benefits from recycling.
@@ -297,8 +241,9 @@ pub struct Client {
     /// freelist, and falls back to a counted-mutex map only on
     /// overflow.
     table: DemuxTable,
-    /// Hot-path knobs: frame-buffer pool + reply-port recycling.
-    codec: CodecConfig,
+    /// The frame-buffer pool every wire frame is encoded into and
+    /// retired to: steady-state sends allocate nothing.
+    pool: BufPool,
     /// The §2.1 kernel cache: put-port → the machine that last answered
     /// it. "To avoid having to broadcast the LOCATE message for every
     /// transaction, each kernel maintains a cache of (port, machine)
@@ -329,7 +274,7 @@ impl Client {
 
     /// Wraps an endpoint with explicit timeouts/retries.
     pub fn with_config(endpoint: Endpoint, config: RpcConfig) -> Client {
-        let codec = CodecConfig::default();
+        let pool = BufPool::new();
         let trace_base = (u64::from(endpoint.id().as_u32()) << 32) | 1;
         Client {
             endpoint,
@@ -339,8 +284,8 @@ impl Client {
             rng_state: AtomicU64::new(rand::rngs::StdRng::from_entropy().next_u64()),
             next_batch_id: AtomicU32::new(1),
             pipeline: None,
-            table: DemuxTable::new(codec.pool.lock_meter()),
-            codec,
+            table: DemuxTable::new(pool.lock_meter()),
+            pool,
             routes: RouteCache::new(),
             minted_ports: AtomicU64::new(0),
             broker: None,
@@ -358,13 +303,14 @@ impl Client {
         self
     }
 
-    /// Builder knob: replaces the hot-path codec configuration (frame
-    /// pooling, reply-port recycling). See [`CodecConfig`].
-    pub fn with_codec(mut self, codec: CodecConfig) -> Client {
+    /// Builder knob: encodes into `pool` instead of a private one.
+    /// Share one handle across cooperating parties to aggregate their
+    /// allocation and lock counters.
+    pub fn with_pool(mut self, pool: BufPool) -> Client {
         // Re-key the (still empty) demux table so its overflow-map
         // lock counts against the new pool's meter.
-        self.table = DemuxTable::new(codec.pool.lock_meter());
-        self.codec = codec;
+        self.table = DemuxTable::new(pool.lock_meter());
+        self.pool = pool;
         self
     }
 
@@ -376,19 +322,14 @@ impl Client {
     /// transaction is already machine-targeted — no LOCATE broadcast,
     /// and its port recycles again). On drop the client offers its own
     /// clean parked ports and routes back.
-    ///
-    /// No-op (beyond registering the broker) on a
-    /// [legacy codec](CodecConfig::legacy), which never recycles.
     pub fn with_broker(mut self, broker: Arc<PortLeaseBroker>) -> Client {
-        if self.codec.recycle_reply_ports {
-            if let Some(grant) = broker.lease() {
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.reply_ports_leased.add(1);
-                }
-                self.adopt_leased_port(grant.get);
-                for (key, val) in grant.routes {
-                    self.routes.insert(key, val);
-                }
+        if let Some(grant) = broker.lease() {
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.reply_ports_leased.add(1);
+            }
+            self.adopt_leased_port(grant.get);
+            for (key, val) in grant.routes {
+                self.routes.insert(key, val);
             }
         }
         self.broker = Some(broker);
@@ -441,7 +382,7 @@ impl Client {
     /// build request bodies can take/retire buffers here so body
     /// allocations ride the same recycling as frame allocations.
     pub fn buf_pool(&self) -> &BufPool {
-        &self.codec.pool
+        &self.pool
     }
 
     /// The trace id the *next* transaction on this client will mint
@@ -577,7 +518,7 @@ impl Client {
         op: &TransferOp,
     ) -> Completion<'_, Bytes> {
         let payload = {
-            let mut buf = self.codec.pool.take();
+            let mut buf = self.pool.take();
             frame::encode_transfer_into(&mut buf, op);
             buf.freeze()
         };
@@ -588,9 +529,9 @@ impl Client {
     /// body — the frame carries its own copy of the bytes, so the
     /// body's storage can be recycled once every other holder drops it.
     fn encode_request_frame(&self, request: Bytes) -> Bytes {
-        let mut buf = self.codec.pool.take();
+        let mut buf = self.pool.take();
         frame::encode_request_into(&mut buf, &request);
-        self.codec.pool.retire(request);
+        self.pool.retire(request);
         buf.freeze()
     }
 
@@ -633,7 +574,7 @@ impl Client {
         // body buffers — on the failure path too, where the frames are
         // just as spent.
         for body in requests {
-            self.codec.pool.retire(body);
+            self.pool.retire(body);
         }
         outcome.map(|()| results)
     }
@@ -653,7 +594,7 @@ impl Client {
         // Encoded straight from the borrowed entry table into a pooled
         // buffer — no owned Frame, no per-chunk entry-table copy.
         let payload = {
-            let mut buf = self.codec.pool.take();
+            let mut buf = self.pool.take();
             frame::encode_batch_request_into(&mut buf, id, requests);
             buf.freeze()
         };
@@ -729,13 +670,13 @@ impl Client {
                 Ok(results) => {
                     for ((body, tx), result) in chunk.into_iter().zip(results) {
                         let _ = tx.send(result);
-                        self.codec.pool.retire(body);
+                        self.pool.retire(body);
                     }
                 }
                 Err(e) => {
                     for (body, tx) in chunk {
                         let _ = tx.send(Err(e));
-                        self.codec.pool.retire(body);
+                        self.pool.retire(body);
                     }
                 }
             }
@@ -756,10 +697,9 @@ impl Client {
     }
 
     /// Records `machine` as the route-cache answer for put-port `dest`.
-    /// No-op for broadcasts and on the legacy codec, which keeps pure
-    /// associative addressing.
+    /// No-op for broadcasts, which stay associative.
     fn note_route(&self, dest: Port, machine: MachineId) {
-        if !self.codec.recycle_reply_ports || dest.is_broadcast() {
+        if dest.is_broadcast() {
             return;
         }
         self.routes
@@ -838,18 +778,16 @@ impl Client {
     /// minted otherwise). Returns the binding plus its get/wire ports.
     fn bind_reply_port(&self) -> (Binding, Port, Port, Receiver<Packet>) {
         let reactor = self.endpoint.reactor();
-        // Recycled from a cleanly completed transaction when allowed:
-        // the port is then already claimed (an F-box has its F values
-        // memoized) and still resolvable in the index — claiming it is
-        // one O(1) freelist pop.
-        if self.codec.recycle_reply_ports {
-            if let Some((token, get, wire)) = self.table.claim_parked(reactor) {
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.reply_ports_recycled.add(1);
-                }
-                let rx = self.table.receiver(token);
-                return (Binding::Slot(token), get, wire, rx);
+        // Recycled from a cleanly completed transaction when one is
+        // parked: the port is then already claimed (an F-box has its F
+        // values memoized) and still resolvable in the index — claiming
+        // it is one O(1) freelist pop.
+        if let Some((token, get, wire)) = self.table.claim_parked(reactor) {
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.reply_ports_recycled.add(1);
             }
+            let rx = self.table.receiver(token);
+            return (Binding::Slot(token), get, wire, rx);
         }
         // Fresh mint: reserve a slot and engrave its (index, gen) in
         // the minted get-port.
@@ -903,7 +841,7 @@ impl Client {
             // cache knows which machine answers this port. Broadcasts
             // stay broadcasts — the network ignores the hint for them
             // anyway, so a cached target would be a lie.
-            None if self.codec.recycle_reply_ports && !dest.is_broadcast() => {
+            None if !dest.is_broadcast() => {
                 if let Some(val) = self.routes.lookup(dest.value()) {
                     header = header.targeted(MachineId::from((val - 1) as u32));
                     hinted = true;
@@ -967,14 +905,12 @@ impl Drop for Client {
         // with this endpoint either way.
         let parked = self.table.drain_parked_for_export(&reactor);
         if let Some(broker) = &self.broker {
-            if self.codec.recycle_reply_ports {
-                broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
-                if let Some(m) = self.endpoint.obs().metrics() {
-                    m.lease_offers.add(parked.len() as u64);
-                }
-                for (get, _wire) in parked {
-                    broker.offer_port(get);
-                }
+            broker.offer_routes(&self.routes.export(MAX_EXPORTED_ROUTES));
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.lease_offers.add(parked.len() as u64);
+            }
+            for (get, _wire) in parked {
+                broker.offer_port(get);
             }
         }
         // Any still-gated deposit left anywhere would wedge the
@@ -1290,10 +1226,7 @@ impl<T> Drop for Completion<'_, T> {
     fn drop(&mut self) {
         let reactor = self.client.endpoint.reactor();
         // The frame buffer returns to the pool for the next encode.
-        self.client
-            .codec
-            .pool
-            .retire(std::mem::take(&mut self.payload));
+        self.client.pool.retire(std::mem::take(&mut self.payload));
         // A machine-targeted transaction that completed on its single
         // transmission and left no stragglers can park its reply port
         // (still claimed, still indexed) for reuse — one frame reached
@@ -1321,7 +1254,6 @@ impl<T> Drop for Completion<'_, T> {
                 let at_most_once = !self.client.endpoint.network().may_duplicate();
                 let clean = self.completed && self.transmits == 1 && unicast && at_most_once;
                 if clean
-                    && self.client.codec.recycle_reply_ports
                     && self
                         .client
                         .table
@@ -1585,7 +1517,7 @@ mod tests {
             cached <= MAX_CACHED_ROUTES,
             "route cache exceeded its bound: {cached}"
         );
-        // Broadcast and legacy-codec notes are dropped, not cached.
+        // Broadcast notes are dropped, not cached.
         client.note_route(Port::BROADCAST, machine);
         assert!(client.cached_route(Port::BROADCAST).is_none());
     }

@@ -5,7 +5,7 @@ use crate::wire;
 use amoeba_cap::{Capability, Rights};
 use amoeba_crypto::oneway::ShaOneWay;
 use amoeba_fbox::FBox;
-use amoeba_net::{Endpoint, EventKind, MachineId, Network, Port, RecvError};
+use amoeba_net::{BufPool, Endpoint, EventKind, MachineId, Network, Port, RecvError};
 use amoeba_rpc::{Client, IncomingRequest, RpcConfig, RpcError, ServerPort};
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -248,34 +248,25 @@ impl ServiceRunner {
         service: impl Service,
         workers: usize,
     ) -> ServiceRunner {
-        Self::spawn_workers_with_codec(
-            endpoint,
-            get_port,
-            service,
-            workers,
-            amoeba_rpc::CodecConfig::default(),
-        )
+        Self::spawn_workers_with_pool(endpoint, get_port, service, workers, BufPool::new())
     }
 
-    /// [`spawn_workers`](Self::spawn_workers) with explicit hot-path
-    /// codec knobs for the bound port — pass
-    /// [`CodecConfig::legacy`](amoeba_rpc::CodecConfig::legacy) to
-    /// measure the pre-pool baseline, or a shared
-    /// [`BufPool`](amoeba_net::BufPool) handle to aggregate allocation
-    /// counters across parties.
+    /// [`spawn_workers`](Self::spawn_workers) with the bound port
+    /// encoding into `pool` — pass a shared handle to aggregate
+    /// allocation counters across parties.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
-    pub fn spawn_workers_with_codec(
+    pub fn spawn_workers_with_pool(
         endpoint: Endpoint,
         get_port: Port,
         mut service: impl Service,
         workers: usize,
-        codec: amoeba_rpc::CodecConfig,
+        pool: BufPool,
     ) -> ServiceRunner {
         assert!(workers > 0, "a service needs at least one worker");
         let machine = endpoint.id();
-        let server = ServerPort::bind_with_codec(endpoint, get_port, codec);
+        let server = ServerPort::bind_with_pool(endpoint, get_port, pool);
         let put_port = server.put_port();
         service.bind(put_port);
         let service: Arc<dyn Service> = Arc::new(service);

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use amoeba_cap::{CapError, Capability, ObjectNum, Rights};
     pub use amoeba_cluster::{
         ClusterClient, ClusterRegistry, ElasticClient, ElasticCluster, HealthProber, MigrateError,
-        MigrationStats, PlacementPolicy, Rebalancer, ServiceCluster, ShardMigration, ShardedClient,
-        ShardedCluster, ShardedDir, SimReplicaSet,
+        MigrationStats, PlacementPolicy, Rebalancer, ServiceCluster, ShardMigration, ShardedDir,
+        SimReplicaSet,
     };
     pub use amoeba_crypto::oneway::{OneWay, PurdyOneWay, ShaOneWay};
     pub use amoeba_dirsvr::{CapCache, DirClient, DirServer, PathError};
@@ -76,9 +76,7 @@ pub mod prelude {
         SimStall, StatsSnapshot, Timestamp, VirtualClock, WallClock,
     };
     pub use amoeba_obs::{EventKind, FlightEvent, Metrics, MetricsSnapshot, Obs};
-    pub use amoeba_rpc::{
-        Client, CodecConfig, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort,
-    };
+    pub use amoeba_rpc::{Client, Locator, Matchmaker, RendezvousNode, RpcConfig, ServerPort};
     pub use amoeba_server::proto::{Reply, Request, Status};
     pub use amoeba_server::{
         ClientError, ObjectLocks, ObjectTable, PrincipalRegistry, ReactorPool, RequestCtx,

@@ -1,5 +1,6 @@
 //! Cluster subsystem integration: replicated failover under load and
-//! sharded multi-node placement of the metered-create workload.
+//! sharded (elastic) multi-node placement of the metered-create
+//! workload.
 //!
 //! The failover and placement tests run on the **virtual clock**
 //! (`Network::new_virtual`): the 2 ms hops and failover-detection
@@ -121,14 +122,33 @@ fn killing_one_of_three_replicas_mid_hammer_loses_no_requests() {
     cluster.stop();
 }
 
-/// Builds the metered flat file service (§3.6 pre-payment through a
-/// nested bank transaction) behind a sharded cluster of `replicas`
-/// machines, plus a funded wallet.
-fn metered_rig(
-    net: &Network,
-    replicas: usize,
-    workers: usize,
-) -> (ServiceRunner, ShardedCluster, Capability) {
+/// The metered flat file service (§3.6 pre-payment through a nested
+/// bank transaction) behind a sharded cluster of `replicas` machines,
+/// published under a directory, plus a funded wallet.
+struct MeteredRig {
+    bank_runner: ServiceRunner,
+    dir_runner: ServiceRunner,
+    root: Capability,
+    cluster: ElasticCluster,
+    wallet: Capability,
+}
+
+impl MeteredRig {
+    /// A client that knows nothing but the directory (§3.4), calling
+    /// through `svc`.
+    fn client(&self, net: &Network, svc: ServiceClient) -> ElasticClient {
+        let dirs = DirClient::open(net, self.dir_runner.put_port());
+        ElasticClient::with_service(svc, dirs, &self.root, "fs").unwrap()
+    }
+
+    fn stop(self) {
+        self.cluster.stop();
+        self.dir_runner.stop();
+        self.bank_runner.stop();
+    }
+}
+
+fn metered_rig(net: &Network, replicas: usize, workers: usize) -> MeteredRig {
     let (bank_server, treasury_rx) =
         BankServer::new(vec![Currency::convertible("dollar", 1)], SchemeKind::OneWay);
     let bank_runner = ServiceRunner::spawn_open(net, bank_server);
@@ -140,7 +160,7 @@ fn metered_rig(
     bank.mint(&treasury, &wallet, CurrencyId(0), 1_000_000)
         .unwrap();
 
-    let cluster = ShardedCluster::spawn_open(net, replicas, workers, |_| {
+    let cluster = ElasticCluster::spawn_open(net, replicas, workers, |_| {
         // Every replica runs its own embedded bank client against the
         // one shared bank; payments land in one server account. The
         // embedded client is patient: on the virtual clock the queue
@@ -158,13 +178,23 @@ fn metered_rig(
             },
         )
     });
-    (bank_runner, cluster, wallet)
+    let dir_runner = ServiceRunner::spawn_open(net, DirServer::new(SchemeKind::OneWay));
+    let dirs = DirClient::open(net, dir_runner.put_port());
+    let root = dirs.create_dir().unwrap();
+    cluster.publish(&dirs, &root, "fs").unwrap();
+    MeteredRig {
+        bank_runner,
+        dir_runner,
+        root,
+        cluster,
+        wallet,
+    }
 }
 
 /// One client thread's share of the metered-create workload. Every
 /// create parks the owning replica's dispatch worker on a nested bank
 /// round-trip, so replica count is what sets throughput.
-fn hammer_creates(client: &ShardedClient, wallet: &Capability, calls: usize) {
+fn hammer_creates(client: &ElasticClient, wallet: &Capability, calls: usize) {
     for _ in 0..calls {
         let params = wire::Writer::new().cap(wallet).u64(1).finish();
         let body = client
@@ -180,14 +210,10 @@ fn timed_metered_round(net: &Network, replicas: usize) -> Duration {
     // the model says ~3x for 3 replicas, and the gate is 2x.
     const CLIENTS: usize = 12;
     const CALLS: usize = 4;
-    let (bank_runner, cluster, wallet) = metered_rig(net, replicas, 1);
-    let clients: Vec<Arc<ShardedClient>> = (0..CLIENTS)
-        .map(|_| {
-            Arc::new(ShardedClient::new(
-                ServiceClient::open_with_config(net, patient()),
-                cluster.range_ports().to_vec(),
-            ))
-        })
+    let rig = metered_rig(net, replicas, 1);
+    let wallet = rig.wallet;
+    let clients: Vec<Arc<ElasticClient>> = (0..CLIENTS)
+        .map(|_| Arc::new(rig.client(net, ServiceClient::open_with_config(net, patient()))))
         .collect();
     net.set_latency(Duration::from_millis(2));
     let v0 = net.now();
@@ -202,8 +228,7 @@ fn timed_metered_round(net: &Network, replicas: usize) -> Duration {
     // measures the modeled latency/queueing, host speed excluded.
     let elapsed = net.now().saturating_duration_since(v0);
     net.set_latency(Duration::ZERO);
-    cluster.stop();
-    bank_runner.stop();
+    rig.stop();
     elapsed
 }
 
@@ -234,13 +259,13 @@ fn three_sharded_replicas_at_least_double_metered_create_throughput() {
 #[test]
 fn sharded_capabilities_survive_cross_client_use() {
     // Capabilities minted through one sharded client route correctly
-    // through another (the range map, not client state, places them).
+    // through another (the shard map, not client state, places them).
     let net = Network::new();
-    let (bank_runner, cluster, wallet) = metered_rig(&net, 3, 1);
-    let a = ShardedClient::new(ServiceClient::open(&net), cluster.range_ports().to_vec());
-    let b = ShardedClient::new(ServiceClient::open(&net), cluster.range_ports().to_vec());
+    let rig = metered_rig(&net, 3, 1);
+    let a = rig.client(&net, ServiceClient::open(&net));
+    let b = rig.client(&net, ServiceClient::open(&net));
 
-    let params = wire::Writer::new().cap(&wallet).u64(1).finish();
+    let params = wire::Writer::new().cap(&rig.wallet).u64(1).finish();
     let caps: Vec<Capability> = (0..6)
         .map(|_| {
             let body = a
@@ -268,8 +293,7 @@ fn sharded_capabilities_survive_cross_client_use() {
             .unwrap();
         assert_eq!(&read[..], format!("x{i}").as_bytes());
     }
-    cluster.stop();
-    bank_runner.stop();
+    rig.stop();
 }
 
 #[test]
