@@ -8,6 +8,11 @@
 //! fields know the slot was not being rewritten mid-read. A torn slot
 //! is simply skipped — this is forensics, not accounting; the metrics
 //! registry owns exact counts.
+//!
+//! Two writers a full lap apart map to the same slot. A writer takes
+//! the slot by swapping its stamp to `WRITING` with one CAS; a writer
+//! that finds the slot held, or already holding a newer event, drops its
+//! own event instead of interleaving its stores with the holder's.
 
 use crate::EventKind;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,9 +22,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// enabled recorder, allocated only on [`Obs::enable`](crate::Obs::enable).
 pub const RING_CAPACITY: usize = 4096;
 
+/// Stamp of a slot a writer currently holds. Never a real `seq + 1`.
+const WRITING: u64 = u64::MAX;
+
 #[derive(Debug)]
 struct Slot {
-    /// 0 = never written; otherwise `seq + 1` of the event it holds.
+    /// 0 = never written, `WRITING` = held by a writer; otherwise
+    /// `seq + 1` of the event it holds.
     stamp: AtomicU64,
     t_nanos: AtomicU64,
     kind: AtomicU64,
@@ -91,18 +100,35 @@ impl Ring {
         }
     }
 
-    /// Records one event: one `fetch_add` plus six relaxed stores.
+    /// Records one event: one `fetch_add`, one CAS on the slot stamp and
+    /// six stores.
     #[inline]
     pub(crate) fn push(&self, kind: EventKind, t_nanos: u64, trace: u64, a: u64, b: u64) {
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(seq as usize) & (RING_CAPACITY - 1)];
-        // Invalidate, write fields, then publish the new stamp: a
-        // concurrent reader either sees stamp 0 / a mismatched stamp
+        // Take the slot, write fields, then publish the new stamp: a
+        // concurrent reader either sees WRITING / a mismatched stamp
         // (and skips the slot) or a stable stamp bracketing its reads.
+        // A writer that lapped a stalled one finds the slot held and
+        // drops its event rather than tearing the holder's fields.
+        let mut cur = slot.stamp.load(Ordering::Relaxed);
+        loop {
+            if cur == WRITING || cur > seq + 1 {
+                return;
+            }
+            match slot.stamp.compare_exchange_weak(
+                cur,
+                WRITING,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(now) => cur = now,
+            }
+        }
         // Every store is Release so the chain retains program order
         // (a later relaxed store may legally hoist above a release
         // store, which would let a reader accept a torn slot).
-        slot.stamp.store(0, Ordering::Release);
         slot.t_nanos.store(t_nanos, Ordering::Release);
         slot.kind.store(kind as u64, Ordering::Release);
         slot.trace.store(trace, Ordering::Release);
@@ -116,7 +142,7 @@ impl Ring {
         let mut out = Vec::with_capacity(RING_CAPACITY);
         for slot in &self.slots {
             let s1 = slot.stamp.load(Ordering::Acquire);
-            if s1 == 0 {
+            if s1 == 0 || s1 == WRITING {
                 continue;
             }
             let ev = FlightEvent {
@@ -169,6 +195,30 @@ mod tests {
         assert_eq!(evs.len(), RING_CAPACITY);
         assert_eq!(evs.first().unwrap().seq, 500);
         assert_eq!(evs.last().unwrap().seq, total - 1);
+    }
+
+    #[test]
+    fn lapping_writer_never_touches_a_held_or_newer_slot() {
+        let ring = Ring::new();
+        ring.push(EventKind::Delivered, 0, 0, 1, 2);
+        // Slot 0 held by a stalled writer: the writer one lap later
+        // drops its event, and readers skip the held slot.
+        ring.slots[0].stamp.store(WRITING, Ordering::Release);
+        ring.head.store(RING_CAPACITY as u64, Ordering::Relaxed);
+        ring.push(EventKind::Delivered, 0, 0, 3, 4);
+        assert_eq!(ring.slots[0].stamp.load(Ordering::Acquire), WRITING);
+        assert_eq!(ring.slots[0].a.load(Ordering::Relaxed), 1);
+        assert!(ring.events().is_empty());
+        // Slot 0 released holding seq 4096: a writer that claimed seq 0
+        // before it stalled must not put the older event back.
+        ring.slots[0]
+            .stamp
+            .store(RING_CAPACITY as u64 + 1, Ordering::Release);
+        ring.head.store(0, Ordering::Relaxed);
+        ring.push(EventKind::Delivered, 0, 0, 5, 6);
+        let evs = ring.events();
+        assert_eq!(evs.len(), 1);
+        assert_eq!((evs[0].seq, evs[0].a), (RING_CAPACITY as u64, 1));
     }
 
     #[test]
