@@ -208,7 +208,9 @@ impl Network {
         self.inner.machines.write().insert(
             id,
             MachineEntry {
-                sender: tx,
+                // Must clone: the endpoint keeps a handle onto its own
+                // queue for local wakes (see `Endpoint::wake_one`).
+                sender: tx.clone(),
                 nic: Arc::clone(&nic),
                 load: Arc::clone(&load),
             },
@@ -220,6 +222,7 @@ impl Network {
             net: self.clone(),
             nic,
             receiver: rx,
+            waker: tx,
             load,
         }
     }
@@ -748,6 +751,8 @@ pub struct Endpoint {
     net: Network,
     nic: Arc<dyn NetworkInterface>,
     receiver: Receiver<Packet>,
+    /// This machine's own queue, for [`wake_one`](Endpoint::wake_one).
+    waker: Sender<Packet>,
     load: Arc<AtomicU32>,
 }
 
@@ -836,6 +841,22 @@ impl Endpoint {
     /// Transmits a packet. Returns how many machines received it.
     pub fn send(&self, header: Header, payload: Bytes) -> usize {
         self.net.send(self.id, header, payload)
+    }
+
+    /// Wakes one thread blocked in a receive on this endpoint by
+    /// putting an empty, ungated packet straight into the endpoint's
+    /// own queue. Nothing is transmitted: no frame, no stats, no tap
+    /// copy. The receiver gets a packet no protocol decodes and drops
+    /// it; a server uses this to pull an idle worker over to work it
+    /// queued in-process.
+    pub fn wake_one(&self) {
+        let _ = self.waker.send(Packet {
+            source: self.id,
+            header: Header::to(Port::NULL),
+            payload: Bytes::new(),
+            deliver_at: Timestamp::ZERO,
+            gate: None,
+        });
     }
 
     /// Blocks until a packet arrives (advancing the clock over its
@@ -975,6 +996,25 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(&b.recv().unwrap().payload[..], b"x");
         assert!(c.try_recv().is_none());
+    }
+
+    #[test]
+    fn wake_one_reaches_only_the_local_queue() {
+        let net = Network::new();
+        let tap = net.tap();
+        let a = net.attach_open();
+        let b = net.attach_open();
+        let before = net.stats().snapshot();
+        let woken = std::thread::scope(|s| {
+            let waiter = s.spawn(|| a.recv_timeout(Duration::from_secs(10)));
+            a.wake_one();
+            waiter.join().unwrap()
+        })
+        .unwrap();
+        assert!(woken.payload.is_empty() && woken.header.dest.is_null());
+        assert!(b.try_recv().is_none(), "no other machine hears a wake");
+        assert!(tap.try_recv().is_err(), "a wake is not on the wire");
+        assert_eq!(net.stats().snapshot(), before, "a wake is not counted");
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub enum EventKind {
     /// The sim released a delivery into a machine queue (`a` = dest
     /// port, `b` = target machine).
     Delivered = 11,
-    /// A server pump dequeued a request (`a` = put port, `b` = machine).
+    /// A server worker claimed a request (`a` = put port, `b` = machine).
     PumpDequeue = 12,
     /// A service handler started (`a` = put port, `b` = machine).
     HandlerStart = 13,

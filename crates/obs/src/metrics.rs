@@ -209,7 +209,7 @@ pub struct Metrics {
     pub faults_crash_dropped: Counter,
     /// Frames dropped by sim partition windows.
     pub faults_partition_dropped: Counter,
-    /// Requests dequeued by server pumps.
+    /// Requests claimed by server workers.
     pub server_requests: Counter,
     /// Service handler invocations completed.
     pub handlers_completed: Counter,
@@ -224,6 +224,9 @@ pub struct Metrics {
     /// Single-shard directory re-reads by elastic cluster clients after
     /// a relayed call.
     pub shard_refreshes: Counter,
+    /// Idle server workers woken in-process to share an exploded
+    /// batch's entries (local wakes: never frames on the wire).
+    pub worker_wakes: Counter,
     /// End-to-end transaction latency (start → completion wake), in
     /// nanoseconds of timeline time.
     pub trans_latency_ns: Histogram,
@@ -254,6 +257,7 @@ impl Metrics {
             relayed_replies: self.relayed_replies.get(),
             route_evictions: self.route_evictions.get(),
             shard_refreshes: self.shard_refreshes.get(),
+            worker_wakes: self.worker_wakes.get(),
             latency_count: self.trans_latency_ns.count(),
             latency_sum_ns: self.trans_latency_ns.sum(),
             latency_min_ns: self.trans_latency_ns.min().unwrap_or(0),
@@ -291,6 +295,7 @@ pub struct MetricsSnapshot {
     pub relayed_replies: u64,
     pub route_evictions: u64,
     pub shard_refreshes: u64,
+    pub worker_wakes: u64,
     pub latency_count: u64,
     pub latency_sum_ns: u64,
     pub latency_min_ns: u64,
@@ -304,7 +309,7 @@ impl MetricsSnapshot {
     /// Formats the snapshot as a flat JSON object (cold path; this is
     /// the one place in the crate that allocates).
     pub fn to_json(&self) -> String {
-        let fields: [(&str, u64); 28] = [
+        let fields: [(&str, u64); 29] = [
             ("trans_started", self.trans_started),
             ("trans_completed", self.trans_completed),
             ("trans_timeouts", self.trans_timeouts),
@@ -326,6 +331,7 @@ impl MetricsSnapshot {
             ("relayed_replies", self.relayed_replies),
             ("route_evictions", self.route_evictions),
             ("shard_refreshes", self.shard_refreshes),
+            ("worker_wakes", self.worker_wakes),
             ("latency_count", self.latency_count),
             ("latency_sum_ns", self.latency_sum_ns),
             ("latency_min_ns", self.latency_min_ns),

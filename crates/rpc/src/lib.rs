@@ -78,4 +78,4 @@ pub use frame::{
 };
 pub use locate::{Locator, PlacementPolicy, Replica, ReplicaCache};
 pub use matchmaker::{Matchmaker, RendezvousNode};
-pub use server::{IncomingRequest, ServerPort, PUMP_TAKEOVER_TICK};
+pub use server::{IncomingRequest, ServerPort};

@@ -502,11 +502,11 @@ mod tests {
     }
 
     /// Spawns a thread that pumps `n` LOCATE broadcasts through a bound
-    /// server port (the pump answers them as a side effect of waiting).
+    /// server port (the port answers them as a side effect of waiting).
     fn answer_locates_for(server: ServerPort, n: usize) -> std::thread::JoinHandle<()> {
         std::thread::spawn(move || {
             for _ in 0..n {
-                // Each locate wakes the pump once; the timeout bounds
+                // Each locate wakes the worker once; the timeout bounds
                 // the test if a broadcast goes missing.
                 let _ = server.next_request_timeout(Duration::from_millis(500));
             }

@@ -3,19 +3,27 @@
 //! # Dispatch model
 //!
 //! A [`ServerPort`] is shared (via `Arc`) by every worker of a dispatch
-//! pool. Internally it separates **pumping** from **serving**:
+//! pool, and every worker runs the paper's plain server loop: block on
+//! the endpoint's packet queue, decode what arrives, serve it, reply.
+//! The queue is MPMC, so each packet goes to exactly one worker, and
+//! the worker that dequeues a single-frame request (`REQUEST`,
+//! `RELAY_REQUEST` or a transfer frame) serves it itself: one wake per
+//! request, no hand-off between threads.
 //!
-//! * At most one worker at a time is the *pump* (a lock-free atomic
-//!   flag decides — a single compare-exchange, no mutex): it drains
-//!   the endpoint's packet queue, decodes frames, and pushes
-//!   ready-to-serve [`IncomingRequest`]s onto an internal MPMC queue.
-//!   A single-frame request yields one entry; a `BATCH_REQUEST` frame
-//!   is **exploded** into one entry per batch element, so the elements
-//!   fan out across the whole pool.
-//! * Every other worker blocks on the ready queue (waking instantly
-//!   when the pump pushes) and periodically — every
-//!   [`PUMP_TAKEOVER_TICK`] — retries the pump role, so it migrates
-//!   when its holder goes off to execute a handler.
+//! A `BATCH_REQUEST` frame is the one exception. The worker that
+//! dequeues it **explodes** it: it serves the first entry itself and
+//! pushes the rest onto an internal ready queue, which every worker
+//! drains before it blocks again. So that the entries run on the pool
+//! at once, the exploding worker also wakes at most
+//! `min(entries − 1, idle workers)` of the workers blocked on the
+//! endpoint, each with [`Endpoint::wake_one`] — a local empty packet
+//! that never reaches the wire. An atomic counts the blocked workers.
+//!
+//! Under a virtual or simulated clock, workers park on the network's
+//! reactor instead, polling the ready queue and the packet queue
+//! together; a ready-queue push notifies the reactor, so no local wake
+//! is rung there. [`ServerPort::poll_request`] is the non-blocking form
+//! of the same loop, for driver threads that multiplex many ports.
 //!
 //! # Batch fan-in
 //!
@@ -33,19 +41,13 @@
 
 use crate::frame::{self, BatchReplyEntry, BatchStatus, Frame, FrameKind, TransferOp};
 use amoeba_net::{
-    BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Port, RecvError, Timestamp,
+    BufPool, Endpoint, Gate, Header, HotMutex, MachineId, Packet, Port, RecvError, Timestamp,
 };
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How often a worker blocked on the ready queue retries the pump role.
-/// Bounds the hand-off gap when the current pump leaves for a handler:
-/// packets sit undecoded for at most this long while blocked workers
-/// are available.
-pub const PUMP_TAKEOVER_TICK: Duration = Duration::from_millis(1);
 
 /// A request as seen by the server.
 #[derive(Debug, Clone)]
@@ -205,20 +207,19 @@ impl BatchAccumulator {
 /// calls each claim a distinct request (batch entries included), and
 /// [`reply`](Self::reply) is stateless for single frames and
 /// internally synchronised for batch fan-in. See the module docs for
-/// the pump/serve split.
+/// the dispatch model.
 #[derive(Debug)]
 pub struct ServerPort {
     endpoint: Endpoint,
     get_port: Port,
     wire_port: Port,
-    /// Decoded, ready-to-serve requests (MPMC: each claimed once).
+    /// Entries of exploded batches awaiting a worker (MPMC: each
+    /// claimed once).
     ready_tx: Sender<IncomingRequest>,
     ready_rx: Receiver<IncomingRequest>,
-    /// `true` while one worker holds the pump role (drains the
-    /// endpoint). A bare atomic, not a mutex: acquisition is a single
-    /// compare-exchange and probing is a load, so the hot receive path
-    /// takes no lock.
-    pump: AtomicBool,
+    /// Workers blocked on the endpoint's packet queue (wall clock
+    /// only); bounds the local wakes an exploded batch rings.
+    idle: AtomicUsize,
     /// Reply frames (and handler-built bodies) are encoded into and
     /// retired back to this pool; steady-state replies allocate
     /// nothing.
@@ -232,17 +233,10 @@ const _: () = {
     assert_shareable::<ServerPort>();
 };
 
-/// RAII ownership of the pump role: releases the flag on drop, so every
-/// early-return path in the pump loop hands the role back correctly.
-#[derive(Debug)]
-struct PumpGuard<'a> {
-    role: &'a AtomicBool,
-}
-
-impl Drop for PumpGuard<'_> {
-    fn drop(&mut self) {
-        self.role.store(false, Ordering::Release);
-    }
+/// What a waiting worker found: a queued batch entry, or a packet.
+enum Arrival {
+    Ready(IncomingRequest),
+    Packet(Packet),
 }
 
 impl ServerPort {
@@ -263,7 +257,7 @@ impl ServerPort {
             wire_port,
             ready_tx,
             ready_rx,
-            pump: AtomicBool::new(false),
+            idle: AtomicUsize::new(0),
             pool,
         }
     }
@@ -297,12 +291,7 @@ impl ServerPort {
     /// # Errors
     /// [`RecvError::Disconnected`] if the endpoint is detached.
     pub fn next_request(&self) -> Result<IncomingRequest, RecvError> {
-        loop {
-            match self.next_request_deadline(None) {
-                Err(RecvError::Timeout) => continue, // pump tick, not a real deadline
-                other => return other,
-            }
-        }
+        self.next_request_deadline(None)
     }
 
     /// Like [`next_request`](Self::next_request) with a deadline.
@@ -314,35 +303,17 @@ impl ServerPort {
         self.next_request_deadline(Some(self.endpoint.now() + timeout))
     }
 
-    /// Gates a decoded request while it waits in the ready queue
-    /// (virtual clock only): the timeline may not pass its arrival
-    /// instant until a worker claims it, so a slow hand-off cannot
-    /// distort other flows' timing.
-    fn ready_gate(&self, pkt: &amoeba_net::Packet) -> Option<Gate> {
+    /// Gates a queued batch entry (virtual clock only): the timeline
+    /// may not pass its arrival instant until a worker claims it, so a
+    /// slow hand-off cannot distort other flows' timing.
+    fn ready_gate(&self, pkt: &Packet) -> Option<Gate> {
         let reactor = self.endpoint.reactor();
         reactor
             .uses_gates()
             .then(|| reactor.register_gate(pkt.deliver_at()))
     }
 
-    /// Tries to become the pump. A single compare-exchange; the
-    /// returned guard releases the role on drop.
-    fn try_pump(&self) -> Option<PumpGuard<'_>> {
-        self.pump
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-            .then(|| PumpGuard { role: &self.pump })
-    }
-
-    /// Whether the pump role is currently unheld. A probe only (a
-    /// plain load, no acquisition) — the answer may be stale by the
-    /// time the caller acts on it, which every call site tolerates by
-    /// retrying.
-    fn pump_is_free(&self) -> bool {
-        !self.pump.load(Ordering::Acquire)
-    }
-
-    /// Claims a request off the ready queue, releasing its gate. Every
+    /// Hands a request to its worker, releasing its gate. Every
     /// receive path funnels through here, so it is also where the
     /// flight recorder sees a request leave the queue for a worker.
     fn claim(&self, req: IncomingRequest) -> IncomingRequest {
@@ -362,247 +333,107 @@ impl ServerPort {
         req
     }
 
-    /// Non-blocking receive for reactor driver loops: serves an
-    /// already-decoded request if one is ready, otherwise (if the pump
-    /// role is free) drains every queued packet into the ready queue
-    /// and tries again. Never parks the thread (though under a virtual
-    /// clock consuming a delivery may briefly wait for earlier
-    /// deliveries to be consumed); a driver multiplexing many bound
-    /// ports calls this in a scan and parks on the reactor only when
-    /// every port comes up empty.
+    /// Non-blocking receive for reactor driver loops: serves a queued
+    /// batch entry if there is one, otherwise decodes queued packets
+    /// until one yields a request. Never parks the thread (though under
+    /// a virtual clock consuming a delivery may briefly wait for
+    /// earlier deliveries to be consumed); a driver multiplexing many
+    /// bound ports calls this in a scan and parks on the reactor only
+    /// when every port comes up empty.
     pub fn poll_request(&self) -> Option<IncomingRequest> {
-        if let Ok(req) = self.ready_rx.try_recv() {
-            return Some(self.claim(req));
-        }
-        if let Some(_pumping) = self.try_pump() {
-            while let Some(pkt) = self.endpoint.poll_arrival() {
-                // Consume the delivery (ordered under the virtual
-                // clock) before decoding.
-                self.endpoint.reactor().deliver(&pkt);
-                self.process(pkt);
+        loop {
+            if let Ok(req) = self.ready_rx.try_recv() {
+                return Some(self.claim(req));
+            }
+            let pkt = self.endpoint.poll_arrival()?;
+            self.endpoint.reactor().deliver(&pkt);
+            if let Some(req) = self.process(pkt) {
+                return Some(self.claim(req));
             }
         }
-        self.ready_rx.try_recv().ok().map(|req| self.claim(req))
     }
 
     /// Whether a call to [`poll_request`](Self::poll_request) could
-    /// make progress right now: a decoded request is ready, or
-    /// undecoded arrivals are queued **and** the pump role is free to
-    /// claim (a held pump means another worker is already draining —
-    /// waking for that would be a busy-spin). The pump probe is a
-    /// plain atomic load, never a block and never an acquisition.
+    /// make progress right now: a batch entry is queued or a packet
+    /// has arrived. Two loads, never a block.
     pub fn has_claimable_work(&self) -> bool {
-        if !self.ready_rx.is_empty() {
-            return true;
-        }
-        self.endpoint.has_arrivals() && self.pump_is_free()
+        !self.ready_rx.is_empty() || self.endpoint.has_arrivals()
     }
 
-    /// The pump/serve loop shared by both receive paths. `None` means
-    /// "no deadline" (but the caller must treat a `Timeout` result as
-    /// "keep looping": the pump still wakes periodically).
+    /// The worker loop behind both blocking receives; `None` waits
+    /// forever.
     fn next_request_deadline(
         &self,
         deadline: Option<Timestamp>,
     ) -> Result<IncomingRequest, RecvError> {
         loop {
-            // Serve decoded work first — the pump may have queued
-            // several entries from one batch frame.
-            match self.ready_rx.try_recv() {
-                Ok(req) => return Ok(self.claim(req)),
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => unreachable!("we hold a ready sender"),
-            }
-            let now = self.endpoint.now();
-            if deadline.is_some_and(|d| now >= d) {
-                return Err(RecvError::Timeout);
-            }
-            // Wall-clock paths bound an undeadlined wait so the pump
-            // still re-checks the ready queue now and then
-            // (next_request() loops on the Timeout). Virtual paths
-            // must NOT synthesize a deadline: it would register a
-            // re-arming far-future sleeper that drags the virtual
-            // timeline forward whenever the system idles.
-            let wall_wait_until = deadline.unwrap_or(now + Duration::from_secs(60));
-            enum Outcome {
-                Return(Result<IncomingRequest, RecvError>),
-                Pumped,
-                NotPump,
-            }
-            let outcome = match self.try_pump() {
-                Some(_pumping) => {
-                    // The previous pump may have pushed entries between
-                    // our ready-queue check above and winning the role;
-                    // serve those before blocking on the wire (only the
-                    // role holder can push, so this check cannot race).
-                    if let Ok(req) = self.ready_rx.try_recv() {
-                        Outcome::Return(Ok(self.claim(req)))
-                    } else {
-                        // We are the pump: drain the wire into the
-                        // ready queue (event-parked when undeadlined
-                        // on the virtual clock).
-                        let pumped = match (self.endpoint.reactor().is_virtual(), deadline) {
-                            (true, None) => self.endpoint.recv(),
-                            (true, Some(d)) => self.endpoint.recv_deadline(d),
-                            (false, _) => self.endpoint.recv_deadline(wall_wait_until),
-                        };
-                        match pumped {
-                            Ok(pkt) => {
-                                self.process(pkt);
-                                Outcome::Pumped
-                            }
-                            Err(RecvError::Timeout) => {
-                                if deadline.is_some() {
-                                    Outcome::Return(Err(RecvError::Timeout))
-                                } else {
-                                    Outcome::Pumped
-                                }
-                            }
-                            Err(RecvError::Disconnected) => {
-                                Outcome::Return(Err(RecvError::Disconnected))
-                            }
-                        }
-                    }
-                    // The pump guard drops here — every path below runs
-                    // with the role released.
-                }
-                None => Outcome::NotPump,
-            };
-            match outcome {
-                Outcome::Return(result) => {
-                    // We just released the pump role; if undecoded
-                    // arrivals remain, wake a successor explicitly — a
-                    // delivery may have jumped the (virtual) clock past
-                    // every waiter's takeover tick.
-                    if self.endpoint.has_arrivals() {
-                        self.endpoint.reactor().notify();
-                    }
-                    return result;
-                }
-                Outcome::Pumped => {
-                    if self.endpoint.has_arrivals() {
-                        self.endpoint.reactor().notify();
-                    }
-                    continue;
-                }
-                Outcome::NotPump => {}
-            }
-            // Someone else pumps; wait for them to feed the ready
-            // queue, but retry the pump role periodically in case
-            // they left for a handler.
-            let reactor = self.endpoint.reactor();
-            if reactor.is_virtual() {
-                // Reactor wakeup instead of a parked OS thread, and no
-                // takeover tick: re-arming sub-millisecond tick
-                // deadlines would hand the virtual clock a ladder to
-                // climb. Takeover is purely event-driven — two wake
-                // conditions: a ready push (the pump notifies on every
-                // one), or *undecoded arrivals with the pump role
-                // free* (the previous pump released it on the way to a
-                // handler and notified). The role-free check keeps
-                // this edge-triggered: while somebody actively pumps,
-                // waiters stay parked instead of spinning.
-                enum Wake {
-                    Ready(IncomingRequest),
-                    Takeover,
-                }
-                let woke = reactor.park_until(deadline, || {
-                    if let Ok(req) = self.ready_rx.try_recv() {
-                        return Some(Wake::Ready(req));
-                    }
-                    if self.endpoint.has_arrivals() && self.pump_is_free() {
-                        // A load-only probe (never blocks, so the
-                        // reactor lock held here cannot deadlock
-                        // against a pump holder taking it later).
-                        return Some(Wake::Takeover);
-                    }
-                    None
-                });
-                if let Some(Wake::Ready(req)) = woke {
-                    return Ok(self.claim(req));
-                }
-                // Takeover signal or deadline expiry: loop and retry
-                // the pump lock.
+            let arrival = if self.endpoint.reactor().is_virtual() {
+                self.park(deadline)?
             } else {
-                let tick_deadline = wall_wait_until.min(now + PUMP_TAKEOVER_TICK);
-                let real = reactor
-                    .clock()
-                    .real_instant(tick_deadline)
-                    .expect("wall clocks map to real instants");
-                match self.ready_rx.recv_deadline(real) {
-                    Ok(req) => return Ok(self.claim(req)),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        unreachable!("we hold a ready sender")
+                // Counted idle *before* the last look at the ready
+                // queue: a worker exploding a batch either sees this
+                // count and wakes us, or pushed its entries before our
+                // look (both sides pass through the queue's mutex).
+                self.idle.fetch_add(1, Ordering::SeqCst);
+                let arrival = match self.ready_rx.try_recv() {
+                    Ok(req) => Ok(Arrival::Ready(req)),
+                    Err(_) => match deadline {
+                        None => self.endpoint.recv(),
+                        Some(d) => self.endpoint.recv_deadline(d),
                     }
-                }
+                    .map(Arrival::Packet),
+                };
+                self.idle.fetch_sub(1, Ordering::SeqCst);
+                arrival?
+            };
+            let req = match arrival {
+                Arrival::Ready(req) => Some(req),
+                Arrival::Packet(pkt) => self.process(pkt),
+            };
+            if let Some(req) = req {
+                return Ok(self.claim(req));
             }
         }
     }
 
-    /// Decodes one packet into zero or more ready requests.
-    fn process(&self, pkt: amoeba_net::Packet) {
-        let Some((frame, relayed)) = Frame::decode(&pkt.payload).map(Frame::unrelay) else {
-            return;
+    /// The virtual- and sim-clock wait: parks on the reactor until a
+    /// batch entry is queued or a packet arrives. No local wake is
+    /// needed here; ready-queue pushes notify the reactor.
+    fn park(&self, deadline: Option<Timestamp>) -> Result<Arrival, RecvError> {
+        let reactor = self.endpoint.reactor();
+        let arrival = reactor.park_until(deadline, || match self.ready_rx.try_recv() {
+            Ok(req) => Some(Arrival::Ready(req)),
+            Err(_) => self.endpoint.poll_arrival().map(Arrival::Packet),
+        });
+        // Consume the delivery outside the park: it re-enters the
+        // reactor.
+        if let Some(Arrival::Packet(pkt)) = &arrival {
+            reactor.deliver(pkt);
+        }
+        arrival.ok_or(RecvError::Timeout)
+    }
+
+    /// Decodes one packet. A single-frame request comes back to be
+    /// served by the caller; a batch is exploded (see
+    /// [`explode`](Self::explode)); a LOCATE for our port is answered
+    /// here; anything else, local wakes included, is dropped.
+    fn process(&self, pkt: Packet) -> Option<IncomingRequest> {
+        let (frame, relayed) = Frame::decode(&pkt.payload).map(Frame::unrelay)?;
+        let ours = pkt.header.dest == self.wire_port;
+        let request = |payload, transfer| IncomingRequest {
+            payload,
+            reply_to: pkt.header.reply,
+            signature: signature_of(&pkt),
+            source: pkt.source,
+            batch: None,
+            transfer,
+            relayed,
+            gate: None,
         };
         match frame {
-            Frame::Request(body) if pkt.header.dest == self.wire_port => {
-                let _ = self.ready_tx.send(IncomingRequest {
-                    payload: body,
-                    reply_to: pkt.header.reply,
-                    signature: signature_of(&pkt),
-                    source: pkt.source,
-                    batch: None,
-                    transfer: None,
-                    relayed,
-                    gate: self.ready_gate(&pkt),
-                });
-                // Ready pushes are not network events; wake
-                // reactor-parked workers explicitly.
-                self.endpoint.reactor().notify();
-            }
-            Frame::Transfer(op) if pkt.header.dest == self.wire_port => {
-                let _ = self.ready_tx.send(IncomingRequest {
-                    payload: Bytes::new(),
-                    reply_to: pkt.header.reply,
-                    signature: signature_of(&pkt),
-                    source: pkt.source,
-                    batch: None,
-                    transfer: Some(op),
-                    relayed: false,
-                    gate: self.ready_gate(&pkt),
-                });
-                self.endpoint.reactor().notify();
-            }
-            Frame::BatchRequest { id, entries } if pkt.header.dest == self.wire_port => {
-                // One-way batches (null reply port) are dispatched with
-                // no accumulator: every entry is served, nothing is
-                // sent back — mirroring one-way single frames.
-                let acc = (!pkt.header.reply.is_null()).then(|| {
-                    Arc::new(BatchAccumulator::new(
-                        id,
-                        pkt.header.reply,
-                        entries.len(),
-                        &self.pool,
-                    ))
-                });
-                for (index, body) in entries.into_iter().enumerate() {
-                    let _ = self.ready_tx.send(IncomingRequest {
-                        payload: body,
-                        reply_to: pkt.header.reply,
-                        signature: signature_of(&pkt),
-                        source: pkt.source,
-                        batch: acc.as_ref().map(|acc| BatchSlot {
-                            acc: Arc::clone(acc),
-                            index: index as u16,
-                        }),
-                        transfer: None,
-                        relayed: false,
-                        gate: self.ready_gate(&pkt),
-                    });
-                }
-                self.endpoint.reactor().notify();
-            }
+            Frame::Request(body) if ours => Some(request(body, None)),
+            Frame::Transfer(op) if ours => Some(request(Bytes::new(), Some(op))),
+            Frame::BatchRequest { id, entries } if ours => self.explode(&pkt, id, entries),
             // Someone broadcast a LOCATE for our port; answer it.
             Frame::Locate(port)
                 if pkt.header.dest.is_broadcast()
@@ -615,9 +446,63 @@ impl ServerPort {
                 self.endpoint
                     .send(Header::to(pkt.header.reply), reply.clone());
                 self.pool.retire(reply);
+                None
             }
-            _ => {}
+            _ => None,
         }
+    }
+
+    /// Returns a batch's first entry for the caller to serve and
+    /// queues the rest for the pool, waking at most one blocked worker
+    /// per queued entry so they run at once.
+    fn explode(&self, pkt: &Packet, id: u32, entries: Vec<Bytes>) -> Option<IncomingRequest> {
+        // One-way batches (null reply port) are dispatched with no
+        // accumulator: every entry is served, nothing is sent back —
+        // mirroring one-way single frames.
+        let acc = (!pkt.header.reply.is_null()).then(|| {
+            Arc::new(BatchAccumulator::new(
+                id,
+                pkt.header.reply,
+                entries.len(),
+                &self.pool,
+            ))
+        });
+        let mut entries = entries
+            .into_iter()
+            .enumerate()
+            .map(|(index, body)| IncomingRequest {
+                payload: body,
+                reply_to: pkt.header.reply,
+                signature: signature_of(pkt),
+                source: pkt.source,
+                batch: acc.as_ref().map(|acc| BatchSlot {
+                    acc: Arc::clone(acc),
+                    index: index as u16,
+                }),
+                transfer: None,
+                relayed: false,
+                gate: None,
+            });
+        let first = entries.next()?;
+        let mut queued = 0;
+        for mut req in entries {
+            req.gate = self.ready_gate(pkt);
+            let _ = self.ready_tx.send(req);
+            queued += 1;
+        }
+        if queued > 0 {
+            // Reactor-parked workers and drivers re-poll on a notify;
+            // workers blocked on the endpoint need a local wake.
+            self.endpoint.reactor().notify();
+            let wakes = queued.min(self.idle.load(Ordering::SeqCst));
+            for _ in 0..wakes {
+                self.endpoint.wake_one();
+            }
+            if let Some(m) = self.endpoint.obs().metrics() {
+                m.worker_wakes.add(wakes as u64);
+            }
+        }
+        Some(first)
     }
 
     /// Sends a reply for `request`. For a batch entry this deposits the
@@ -732,7 +617,7 @@ impl ServerPort {
 
 impl Drop for ServerPort {
     fn drop(&mut self) {
-        // Decoded requests never claimed would otherwise hold their
+        // Batch entries never claimed would otherwise hold their
         // ready-queue gates forever and wedge the virtual timeline.
         while let Ok(req) = self.ready_rx.try_recv() {
             if let Some(gate) = req.gate {
@@ -742,7 +627,7 @@ impl Drop for ServerPort {
     }
 }
 
-fn signature_of(pkt: &amoeba_net::Packet) -> Option<Port> {
+fn signature_of(pkt: &Packet) -> Option<Port> {
     (!pkt.header.signature.is_null()).then_some(pkt.header.signature)
 }
 

@@ -184,15 +184,13 @@ fn drive(entries: &[DrivenService], reactor: &Reactor, stop: &AtomicBool) {
             }
         }
         if served == 0 {
-            // Everything idle: park until some port of the pool has
-            // work this driver could actually claim (or shutdown).
-            // `has_claimable_work` includes a pump-role probe so a
-            // peer driver mid-pump does not make the rest of the pool
-            // busy-spin on arrivals only the pump can drain. The poll
-            // runs under the reactor lock, so a packet enqueued before
-            // the park is never missed — its notify either precedes
-            // our check or wakes the wait (the pump also notifies on
-            // releasing the role with arrivals left).
+            // Everything idle: park until some port of the pool has a
+            // queued packet or batch entry (or shutdown). Any driver
+            // can decode any port's packets, so queued work is always
+            // claimable. The poll runs under the reactor lock, so work
+            // enqueued before the park is never missed — its notify
+            // (every send, every batch explosion) either precedes our
+            // check or wakes the wait.
             let _: Option<()> = reactor.park_until(None, || {
                 (stop.load(Ordering::Relaxed)
                     || entries.iter().any(|e| e.server.has_claimable_work()))

@@ -154,9 +154,8 @@ impl SealedServiceRunner {
                 let stop = Arc::clone(&shutdown);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        // Bounded wait, mirroring ServiceRunner (a
-                        // standing parked pump tightens virtual-clock
-                        // fidelity; see the comment there).
+                        // The same loop and bounded wait as
+                        // ServiceRunner (see the comment there).
                         match server.next_request_timeout(std::time::Duration::from_millis(20)) {
                             Ok(incoming) => {
                                 serve_sealed_one(&*service, &sealer, &server, &incoming)

@@ -279,13 +279,12 @@ impl ServiceRunner {
                 let stop = Arc::clone(&shutdown);
                 std::thread::spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
-                        // A bounded wait, deliberately not an
-                        // event-only park: keeping one worker parked
-                        // *inside* the pump (and the pool's deadlines
-                        // as near jump targets) measurably tightens
-                        // virtual-clock timeline fidelity under
-                        // concurrency, at the cost of a modest idle
-                        // tick.
+                        // The paper's server loop: block on the port,
+                        // serve what this worker dequeued, reply. The
+                        // wait is bounded so the worker notices
+                        // shutdown and, under the virtual clock, so the
+                        // pool's deadlines stay near jump targets, which
+                        // keeps the timeline tight under concurrency.
                         match server.next_request_timeout(std::time::Duration::from_millis(20)) {
                             Ok(req) => {
                                 // Publish in-flight work on the machine's

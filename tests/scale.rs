@@ -682,3 +682,142 @@ fn reactor_pool_drives_64_services_on_4_threads_through_the_hammer() {
     }
     pool.stop();
 }
+
+/// One channel per party of a rendezvous.
+type Parties = Arc<
+    Vec<(
+        std::sync::mpsc::Sender<()>,
+        std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+    )>,
+>;
+
+fn rendezvous(n: usize) -> Parties {
+    Arc::new(
+        (0..n)
+            .map(|_| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                (tx, std::sync::Mutex::new(rx))
+            })
+            .collect(),
+    )
+}
+
+/// Party `me` arrives and waits for every other party. Gives up after
+/// 10 s (returning `false`) so a regression fails the test instead of
+/// hanging it.
+fn meet(parties: &Parties, me: usize) -> bool {
+    for (i, (tx, _)) in parties.iter().enumerate() {
+        if i != me {
+            tx.send(()).unwrap();
+        }
+    }
+    let rx = parties[me].1.lock().unwrap();
+    (1..parties.len()).all(|_| rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok())
+}
+
+/// The body that tells a meeting worker to reply and exit.
+const STOP: &[u8] = b"stop";
+
+/// `n` workers on one bound port that meet at `parties` (as the party
+/// `party` names for each request) and reply `[1]` if everyone came,
+/// `[0]` if not. They block with no timeout, so only a wake can bring
+/// one to work; [`stop_workers`] ends them.
+fn spawn_meeting_workers(
+    server: &Arc<ServerPort>,
+    n: usize,
+    parties: &Parties,
+    party: fn(&amoeba::rpc::IncomingRequest) -> usize,
+) -> Vec<std::thread::JoinHandle<()>> {
+    (0..n)
+        .map(|_| {
+            let server = Arc::clone(server);
+            let parties = Arc::clone(parties);
+            std::thread::spawn(move || {
+                while let Ok(req) = server.next_request() {
+                    if req.payload[..] == *STOP {
+                        server.reply(&req, bytes::Bytes::new());
+                        return;
+                    }
+                    let met = meet(&parties, party(&req));
+                    server.reply(&req, bytes::Bytes::from(vec![u8::from(met)]));
+                }
+            })
+        })
+        .collect()
+}
+
+/// One stop request per worker: a stopped worker takes no more
+/// requests, so each stop reaches a different one.
+fn stop_workers(client: &Client, server: &ServerPort, workers: Vec<std::thread::JoinHandle<()>>) {
+    for _ in 0..workers.len() {
+        client
+            .trans(server.put_port(), bytes::Bytes::from_static(STOP))
+            .unwrap();
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+}
+
+fn rendezvous_client(net: &Network) -> Client {
+    Client::with_config(
+        net.attach_open(),
+        RpcConfig {
+            timeout: std::time::Duration::from_secs(30),
+            attempts: 1,
+        },
+    )
+}
+
+#[test]
+fn batch_entries_run_on_four_workers_at_once() {
+    // Each entry's handler waits for all four: the batch completes only
+    // if its entries were served on four workers at the same time.
+    let net = Network::new();
+    net.obs().enable();
+    let server = Arc::new(ServerPort::bind(
+        net.attach_open(),
+        Port::new(0x7A).unwrap(),
+    ));
+    let parties = rendezvous(4);
+    let workers = spawn_meeting_workers(&server, 4, &parties, |req| {
+        usize::from(req.batch_context().expect("a batch entry").1)
+    });
+    let client = rendezvous_client(&net);
+    let wakes = || net.obs().metrics().expect("enabled").worker_wakes.get();
+    // Only a batch that finds the other workers blocked needs its
+    // wakes; repeat until one has.
+    for _ in 0..50 {
+        let bodies = vec![bytes::Bytes::from_static(b"meet"); 4];
+        for r in client.trans_batch(server.put_port(), bodies).unwrap() {
+            assert_eq!(&r.unwrap()[..], &[1], "all four entries met");
+        }
+        if wakes() > 0 {
+            break;
+        }
+    }
+    assert!(wakes() > 0, "no batch found a blocked worker");
+    stop_workers(&client, &server, workers);
+}
+
+#[test]
+fn two_single_requests_run_on_two_workers_at_once() {
+    let net = Network::new();
+    let server = Arc::new(ServerPort::bind(
+        net.attach_open(),
+        Port::new(0x7B).unwrap(),
+    ));
+    let parties = rendezvous(2);
+    let workers = spawn_meeting_workers(&server, 2, &parties, |req| usize::from(req.payload[0]));
+    let p = server.put_port();
+    let calls: Vec<_> = (0..2u8)
+        .map(|i| {
+            let client = rendezvous_client(&net);
+            std::thread::spawn(move || client.trans(p, bytes::Bytes::from(vec![i])).unwrap())
+        })
+        .collect();
+    for c in calls {
+        assert_eq!(&c.join().unwrap()[..], &[1], "both requests met");
+    }
+    stop_workers(&rendezvous_client(&net), &server, workers);
+}
